@@ -58,13 +58,12 @@ var benchTel *telemetry.Telemetry
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig1|fig3|fig4|fig5|fig6|fig7|queues|runtime|ablation|anneal|validate|dqueues|mpls|failover|all, or corebench/scenario/evalbench/ctrlloop/scale/obs/soak (explicit only; write -bench-out/-scenario-out/-eval-out/-ctrlloop-out/-scale-out/-obs-out/-soak-out)")
+		exp      = flag.String("exp", "all", "experiment: fig1|fig3|fig4|fig5|fig6|fig7|queues|runtime|ablation|anneal|validate|dqueues|mpls|failover|all, or scenario/evalbench/ctrlloop/scale/obs/soak (explicit only; write -scenario-out/-eval-out/-ctrlloop-out/-scale-out/-obs-out/-soak-out)")
 		seed     = flag.Int64("seed", 1, "base random seed")
 		runs     = flag.Int("runs", 100, "number of runs for fig7")
 		deadline = flag.Duration("deadline", 10*time.Minute, "per-run optimization deadline")
 		csv      = flag.Bool("csv", false, "emit CSV after each chart")
 		workers  = flag.Int("workers", 0, "parallel candidate evaluators per step (0 = GOMAXPROCS)")
-		benchOut = flag.String("bench-out", "BENCH_core.json", "output file for the corebench speedup record")
 		scenName = flag.String("scenario", "diurnal", "canned scenario for -exp scenario/ctrlloop: "+strings.Join(scenario.Names(), "|"))
 		epochs   = flag.Int("epochs", 20, "scenario replay epoch count")
 		scenOut  = flag.String("scenario-out", "BENCH_scenario.json", "output file for the scenario replay record")
@@ -206,12 +205,9 @@ func main() {
 	if want("failover") {
 		run("failover: link failure and warm-start recovery", func() error { return failover(*seed) })
 	}
-	// corebench and scenario are explicit-only (not part of "all"): they
+	// The record benches are explicit-only (not part of "all"): they
 	// write files in the working directory, which a figure-reproduction
 	// run never asked for.
-	if *exp == "corebench" {
-		run("corebench: parallel candidate-evaluation speedup", func() error { return coreBench(*seed, *workers, *deadline, *benchOut) })
-	}
 	if *exp == "scenario" {
 		run("scenario: time-varying replay, warm vs cold re-optimization", func() error {
 			return scenarioBench(*scenName, *seed, *epochs, *scenOut)
@@ -561,18 +557,13 @@ type evalBenchRecord struct {
 	RunFullNs          int64   `json:"run_full_best_ns"`
 	RunDeltaNs         int64   `json:"run_delta_best_ns"`
 	RunSpeedup         float64 `json:"run_speedup"`
-	// Persistent-base comparison: the same instance end to end with
-	// per-step base captures (the pre-session behavior) vs the
-	// session-persistent base that is patched on commit and remapped
-	// across step layouts. BaseStats records how the persistent run
-	// obtained each step's base.
-	RunCaptureNs     int64          `json:"run_capture_best_ns"`
-	BaseReuseSpeedup float64        `json:"base_reuse_speedup"`
-	BaseStats        core.BaseStats `json:"base_stats"`
-	CaptureBaseStats core.BaseStats `json:"capture_base_stats"`
-	Steps            int            `json:"steps"`
-	Utility          float64        `json:"utility"`
-	Deterministic    bool           `json:"deterministic"`
+	// BaseStats records how the delta run obtained each step's base: the
+	// persistent base is patched on commit and remapped across step
+	// layouts, so captures stay near one per run.
+	BaseStats     core.BaseStats `json:"base_stats"`
+	Steps         int            `json:"steps"`
+	Utility       float64        `json:"utility"`
+	Deterministic bool           `json:"deterministic"`
 }
 
 // evalBench times every candidate of one real optimization both ways
@@ -607,9 +598,8 @@ func evalBench(instance string, seed int64, outPath string) error {
 		return fmt.Errorf("evalbench: delta utilities diverged from full evaluations")
 	}
 
-	// End to end at Workers=1, best of 3, three strategies: full
-	// per-candidate evaluations, incremental with per-step base captures
-	// (the pre-session behavior), and incremental with the persistent
+	// End to end at Workers=1, best of 3, two strategies: full
+	// per-candidate evaluations and incremental against the persistent
 	// base (patched on commit, remapped across layouts).
 	const rounds = 3
 	measure := func(opts core.Options) (time.Duration, *core.Solution, error) {
@@ -637,18 +627,12 @@ func evalBench(instance string, seed int64, outPath string) error {
 	if err != nil {
 		return err
 	}
-	captureT, captureSol, err := measure(core.Options{DeltaEval: core.DeltaAuto, DisableBaseReuse: true})
-	if err != nil {
-		return err
-	}
 	fullT, fullSol, err := measure(core.Options{DeltaEval: core.DeltaOff})
 	if err != nil {
 		return err
 	}
 	det := deltaSol.Steps == fullSol.Steps && deltaSol.Utility == fullSol.Utility &&
-		reflect.DeepEqual(deltaSol.Bundles, fullSol.Bundles) &&
-		deltaSol.Steps == captureSol.Steps && deltaSol.Utility == captureSol.Utility &&
-		reflect.DeepEqual(deltaSol.Bundles, captureSol.Bundles)
+		reflect.DeepEqual(deltaSol.Bundles, fullSol.Bundles)
 
 	st := cb.Delta
 	affected := 0.0
@@ -692,10 +676,7 @@ func evalBench(instance string, seed int64, outPath string) error {
 		RunFullNs:          fullT.Nanoseconds(),
 		RunDeltaNs:         deltaT.Nanoseconds(),
 		RunSpeedup:         float64(fullT) / float64(deltaT),
-		RunCaptureNs:       captureT.Nanoseconds(),
-		BaseReuseSpeedup:   float64(captureT) / float64(deltaT),
 		BaseStats:          deltaSol.Base,
-		CaptureBaseStats:   captureSol.Base,
 		Steps:              deltaSol.Steps,
 		Utility:            deltaSol.Utility,
 		Deterministic:      det,
@@ -716,12 +697,10 @@ func evalBench(instance string, seed int64, outPath string) error {
 	t.AddRow("fallbacks / expansions (utility-only mode)",
 		fmt.Sprintf("%d / %d of %d", rec.UtilModeFallbacks, rec.UtilModeExpansions, rec.UtilModeCalls))
 	t.AddRow("run (persistent base, Workers=1)", deltaT.Truncate(time.Microsecond))
-	t.AddRow("run (per-step capture, Workers=1)", captureT.Truncate(time.Microsecond))
 	t.AddRow("run (delta off, Workers=1)", fullT.Truncate(time.Microsecond))
 	t.AddRow("run speedup (vs delta off)", fmt.Sprintf("%.2fx", rec.RunSpeedup))
-	t.AddRow("base-reuse speedup (vs per-step capture)", fmt.Sprintf("%.2fx", rec.BaseReuseSpeedup))
-	t.AddRow("base captures/remaps/skips/rebases", fmt.Sprintf("%d / %d / %d / %d (capture mode: %d captures)",
-		rec.BaseStats.Captures, rec.BaseStats.Remaps, rec.BaseStats.Skips, rec.BaseStats.Rebases, rec.CaptureBaseStats.Captures))
+	t.AddRow("base captures/remaps/skips/rebases", fmt.Sprintf("%d / %d / %d / %d",
+		rec.BaseStats.Captures, rec.BaseStats.Remaps, rec.BaseStats.Skips, rec.BaseStats.Rebases))
 	t.AddRow("bit-identical candidates", rec.Identical)
 	t.AddRow("identical solutions on/off", det)
 	t.AddRow("GOMAXPROCS", rec.GOMAXPROCS)
@@ -737,8 +716,8 @@ func evalBench(instance string, seed int64, outPath string) error {
 	}
 	fmt.Printf("evalbench record written to %s\n", outPath)
 	if !det {
-		return fmt.Errorf("evalbench: persistent-base, per-step-capture and DeltaOff runs diverged (steps %d / %d / %d)",
-			deltaSol.Steps, captureSol.Steps, fullSol.Steps)
+		return fmt.Errorf("evalbench: persistent-base and DeltaOff runs diverged (steps %d / %d)",
+			deltaSol.Steps, fullSol.Steps)
 	}
 	return nil
 }
@@ -845,120 +824,6 @@ func scenarioBench(name string, seed int64, epochs int, outPath string) error {
 	if !det {
 		return fmt.Errorf("scenario: epoch tables diverged between Workers=1 and Workers=4")
 	}
-	return nil
-}
-
-// coreBenchRecord is the JSON speedup record corebench writes: the same
-// congested instance optimized serially and with a 4-worker candidate
-// pool, asserting identical solutions and recording the wall-clock ratio.
-type coreBenchRecord struct {
-	Benchmark       string  `json:"benchmark"`
-	Topology        string  `json:"topology"`
-	Aggregates      int     `json:"aggregates"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	NumCPU          int     `json:"num_cpu"`
-	Runs            int     `json:"runs_per_setting"`
-	WorkersSerial   int     `json:"workers_serial"`
-	WorkersParallel int     `json:"workers_parallel"`
-	SerialNs        int64   `json:"serial_best_ns"`
-	ParallelNs      int64   `json:"parallel_best_ns"`
-	Speedup         float64 `json:"speedup"`
-	Utility         float64 `json:"utility"`
-	Steps           int     `json:"steps"`
-	Deterministic   bool    `json:"deterministic"`
-	Note            string  `json:"note,omitempty"`
-}
-
-// coreBench measures the optimizer end to end at Workers=1 vs a parallel
-// worker count (4, or -workers when larger) on the bundled evaluation
-// instance (trial evaluations dominate its runtime) and writes the
-// speedup record to outPath.
-func coreBench(seed int64, workers int, deadline time.Duration, outPath string) error {
-	topo, mat, err := benchInstance(seed)
-	if err != nil {
-		return err
-	}
-	workersParallel := 4
-	if workers > workersParallel {
-		workersParallel = workers
-	}
-	const rounds = 3
-	measure := func(workers int) (time.Duration, *core.Solution, error) {
-		best := time.Duration(0)
-		var sol *core.Solution
-		for i := 0; i < rounds; i++ {
-			model, err := flowmodel.New(topo, mat)
-			if err != nil {
-				return 0, nil, err
-			}
-			start := time.Now()
-			s, err := core.Run(benchCtx, model, core.Options{Workers: workers, Deadline: deadline})
-			if err != nil {
-				return 0, nil, err
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-			sol = s
-		}
-		return best, sol, nil
-	}
-	serialT, serialSol, err := measure(1)
-	if err != nil {
-		return err
-	}
-	parallelT, parallelSol, err := measure(workersParallel)
-	if err != nil {
-		return err
-	}
-	det := serialSol.Steps == parallelSol.Steps && serialSol.Utility == parallelSol.Utility &&
-		reflect.DeepEqual(serialSol.Bundles, parallelSol.Bundles)
-	rec := coreBenchRecord{
-		Benchmark:       "core optimizer: parallel trial-move evaluation",
-		Topology:        topo.Summary(),
-		Aggregates:      mat.NumAggregates(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		NumCPU:          runtime.NumCPU(),
-		Runs:            rounds,
-		WorkersSerial:   1,
-		WorkersParallel: workersParallel,
-		SerialNs:        serialT.Nanoseconds(),
-		ParallelNs:      parallelT.Nanoseconds(),
-		Speedup:         float64(serialT) / float64(parallelT),
-		Utility:         parallelSol.Utility,
-		Steps:           parallelSol.Steps,
-		Deterministic:   det,
-	}
-	// GOMAXPROCS, not NumCPU, caps goroutine parallelism (they differ
-	// under cgroup quotas or an explicit GOMAXPROCS override).
-	if rec.GOMAXPROCS < rec.WorkersParallel {
-		rec.Note = fmt.Sprintf("GOMAXPROCS=%d; worker-pool speedup is capped at the schedulable core count", rec.GOMAXPROCS)
-	}
-	if !det {
-		hint := ""
-		if deadline > 0 {
-			hint = " (a wall-clock -deadline that truncates the runs makes them legitimately diverge)"
-		}
-		return fmt.Errorf("corebench: Workers=1 and Workers=%d diverged (steps %d vs %d, utility %v vs %v)%s",
-			workersParallel, serialSol.Steps, parallelSol.Steps, serialSol.Utility, parallelSol.Utility, hint)
-	}
-	t := report.NewTable("core candidate-evaluation speedup", "metric", "value")
-	t.AddRow("serial (Workers=1)", serialT.Truncate(time.Microsecond))
-	t.AddRow(fmt.Sprintf("parallel (Workers=%d)", workersParallel), parallelT.Truncate(time.Microsecond))
-	t.AddRow("speedup", fmt.Sprintf("%.2fx", rec.Speedup))
-	t.AddRow("identical solutions", det)
-	t.AddRow("GOMAXPROCS", rec.GOMAXPROCS)
-	if err := t.Render(os.Stdout); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("speedup record written to %s\n", outPath)
 	return nil
 }
 

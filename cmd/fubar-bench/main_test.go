@@ -1,10 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"testing"
-)
+import "testing"
 
 // TestExtensionExperimentsSmoke runs the fast extension experiments end
 // to end: they must complete without error and print their tables.
@@ -46,34 +42,5 @@ func TestBenchInstance(t *testing.T) {
 	}
 	if mat.TotalDemand() <= topo.TotalCapacity()/10 {
 		t.Fatalf("instance too idle: demand %v vs capacity %v", mat.TotalDemand(), topo.TotalCapacity())
-	}
-}
-
-// TestCoreBenchRecord runs the corebench experiment into a temp file and
-// checks the speedup record parses and certifies determinism.
-func TestCoreBenchRecord(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	out := t.TempDir() + "/BENCH_core.json"
-	if err := coreBench(1, 0, 0, out); err != nil {
-		t.Fatalf("coreBench: %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec coreBenchRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("record does not parse: %v", err)
-	}
-	if !rec.Deterministic {
-		t.Error("record must certify Workers=1 == Workers=4 solutions")
-	}
-	if rec.SerialNs <= 0 || rec.ParallelNs <= 0 || rec.Speedup <= 0 {
-		t.Errorf("degenerate timings: %+v", rec)
-	}
-	if rec.Steps == 0 {
-		t.Error("bench instance committed no moves")
 	}
 }

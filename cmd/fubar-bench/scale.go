@@ -16,14 +16,13 @@ import (
 )
 
 // scalePoint is one cell of the scaling curve: one preset instance
-// optimized end to end at one worker count in one pipeline mode.
+// optimized end to end at one worker count.
 type scalePoint struct {
 	Preset     string  `json:"preset"`
 	Nodes      int     `json:"nodes"`
 	Links      int     `json:"links"`
 	Aggregates int     `json:"aggregates"`
 	Workers    int     `json:"workers"`
-	Mode       string  `json:"mode"`
 	RunNs      int64   `json:"run_ns"`
 	Steps      int     `json:"steps"`
 	Utility    float64 `json:"utility"`
@@ -36,14 +35,14 @@ type scalePoint struct {
 	Fallbacks     int64   `json:"delta_fallbacks"`
 	Expansions    int64   `json:"delta_expansions"`
 	// Deterministic reports whether this run's move sequence and final
-	// utility matched the Workers=1 run of the same preset and mode.
+	// utility matched the first worker count's run of the same preset.
 	Deterministic bool `json:"deterministic"`
 }
 
 // scaleCandidateBench is the per-candidate median comparison on the
 // largest benched preset (three-way differential at Workers=1): the
-// utility-only scoring the new pipeline uses vs the full-Result delta
-// scoring of the previous pipeline vs a full evaluation.
+// utility-only delta scoring the optimizer uses vs a full-Result delta
+// vs a full evaluation.
 type scaleCandidateBench struct {
 	Preset        string  `json:"preset"`
 	Candidates    int     `json:"candidates"`
@@ -57,44 +56,25 @@ type scaleCandidateBench struct {
 }
 
 // scaleBenchRecord is the JSON record `-exp scale` writes: end-to-end
-// scaling curves across Workers x pipeline mode x instance size, the
-// per-candidate median comparison on the largest preset, and the
-// determinism and improvement verdicts the acceptance criteria pin.
+// scaling curves across Workers x instance size, the per-candidate
+// median comparison on the largest preset, and the determinism verdict.
 type scaleBenchRecord struct {
-	Benchmark  string   `json:"benchmark"`
-	Seed       int64    `json:"seed"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	NumCPU     int      `json:"num_cpu"`
-	MaxSteps   int      `json:"max_steps"`
-	Presets    []string `json:"presets"`
-	Workers    []int    `json:"workers"`
-	// Modes: "new" is the scale-out pipeline (sharded collection,
-	// patch-and-revert trial buffers, utility-only scoring); "pr5" is the
-	// previous pipeline reconstructed via the DisableTrialReuse and
-	// DisableUtilityScoring knobs (per-candidate dense-list copy,
-	// full-Result scoring).
+	Benchmark      string               `json:"benchmark"`
+	Seed           int64                `json:"seed"`
+	GOMAXPROCS     int                  `json:"gomaxprocs"`
+	NumCPU         int                  `json:"num_cpu"`
+	MaxSteps       int                  `json:"max_steps"`
+	Presets        []string             `json:"presets"`
+	Workers        []int                `json:"workers"`
 	Points         []scalePoint         `json:"points"`
 	CandidateBench *scaleCandidateBench `json:"candidate_bench,omitempty"`
 	Deterministic  bool                 `json:"deterministic"`
-	// Improved: on the largest preset, the new pipeline's per-candidate
-	// amortized ns and allocs, and its per-candidate median scoring ns,
-	// all improve on (or match, for allocs) the pr5 path at Workers=1.
-	Improved bool `json:"improved"`
 }
 
-// scaleModes maps the benched pipeline modes to their option overlays.
-var scaleModes = []struct {
-	name string
-	mod  func(*core.Options)
-}{
-	{"new", func(o *core.Options) {}},
-	{"pr5", func(o *core.Options) { o.DisableTrialReuse = true; o.DisableUtilityScoring = true }},
-}
-
-// scaleBench runs the scaling benchmark: every preset x worker count x
-// pipeline mode end to end (steps capped so the big instances stay
-// tractable), plus the three-way per-candidate differential on the
-// largest preset, and writes BENCH_scale.json.
+// scaleBench runs the scaling benchmark: every preset x worker count end
+// to end (steps capped so the big instances stay tractable), plus the
+// three-way per-candidate differential on the largest preset, and writes
+// BENCH_scale.json.
 func scaleBench(presetCSV string, workersCSV string, seed int64, maxSteps int, outPath string) error {
 	presets := strings.Split(presetCSV, ",")
 	var workerCounts []int
@@ -116,7 +96,7 @@ func scaleBench(presetCSV string, workersCSV string, seed int64, maxSteps int, o
 		Deterministic: true,
 	}
 	t := report.NewTable("scaling curves (MaxSteps="+fmt.Sprint(maxSteps)+")",
-		"preset", "mode", "workers", "run", "steps", "candidates", "ns/cand", "allocs/cand", "det")
+		"preset", "workers", "run", "steps", "candidates", "ns/cand", "allocs/cand", "det")
 	for _, preset := range presets {
 		preset = strings.TrimSpace(preset)
 		topo, mat, err := scenario.ScaleInstance(preset, seed)
@@ -124,72 +104,68 @@ func scaleBench(presetCSV string, workersCSV string, seed int64, maxSteps int, o
 			return err
 		}
 		fmt.Printf("%s: %s, %d aggregates\n", preset, topo.Summary(), mat.NumAggregates())
-		for _, mode := range scaleModes {
-			var ref *core.Solution
-			for _, w := range workerCounts {
-				if benchCtx.Err() != nil {
-					return benchCtx.Err()
-				}
-				opts := core.Options{Workers: w, MaxSteps: maxSteps, DeltaEval: core.DeltaAuto}
-				mode.mod(&opts)
-				// Best of scaleRounds: single runs are too noisy to
-				// compare pipeline modes tens of microseconds apart.
-				const scaleRounds = 3
-				var elapsed time.Duration
-				var mallocs uint64
-				var sol *core.Solution
-				for round := 0; round < scaleRounds; round++ {
-					model, err := flowmodel.New(topo, mat)
-					if err != nil {
-						return err
-					}
-					var ms0, ms1 runtime.MemStats
-					runtime.ReadMemStats(&ms0)
-					start := time.Now()
-					s, err := core.Run(benchCtx, model, opts)
-					d := time.Since(start)
-					if err != nil {
-						return err
-					}
-					runtime.ReadMemStats(&ms1)
-					if sol == nil || d < elapsed {
-						elapsed = d
-						mallocs = ms1.Mallocs - ms0.Mallocs
-					}
-					sol = s
-				}
-				if ref == nil {
-					ref = sol
-				}
-				det := sol.Steps == ref.Steps && sol.Utility == ref.Utility &&
-					reflect.DeepEqual(sol.Bundles, ref.Bundles)
-				if !det {
-					rec.Deterministic = false
-				}
-				cands := sol.Delta.Calls
-				p := scalePoint{
-					Preset:        preset,
-					Nodes:         topo.NumNodes(),
-					Links:         topo.NumLinks(),
-					Aggregates:    mat.NumAggregates(),
-					Workers:       w,
-					Mode:          mode.name,
-					RunNs:         elapsed.Nanoseconds(),
-					Steps:         sol.Steps,
-					Utility:       sol.Utility,
-					Candidates:    cands,
-					Fallbacks:     sol.Delta.Fallbacks,
-					Expansions:    sol.Delta.Expansions,
-					Deterministic: det,
-				}
-				if cands > 0 {
-					p.PerCandNs = elapsed.Nanoseconds() / cands
-					p.AllocsPerCand = float64(mallocs) / float64(cands)
-				}
-				rec.Points = append(rec.Points, p)
-				t.AddRow(preset, mode.name, w, elapsed.Truncate(time.Millisecond),
-					sol.Steps, cands, p.PerCandNs, fmt.Sprintf("%.1f", p.AllocsPerCand), det)
+		var ref *core.Solution
+		for _, w := range workerCounts {
+			if benchCtx.Err() != nil {
+				return benchCtx.Err()
 			}
+			opts := core.Options{Workers: w, MaxSteps: maxSteps, DeltaEval: core.DeltaAuto}
+			// Best of scaleRounds: single runs are too noisy to
+			// compare worker counts tens of microseconds apart.
+			const scaleRounds = 3
+			var elapsed time.Duration
+			var mallocs uint64
+			var sol *core.Solution
+			for round := 0; round < scaleRounds; round++ {
+				model, err := flowmodel.New(topo, mat)
+				if err != nil {
+					return err
+				}
+				var ms0, ms1 runtime.MemStats
+				runtime.ReadMemStats(&ms0)
+				start := time.Now()
+				s, err := core.Run(benchCtx, model, opts)
+				d := time.Since(start)
+				if err != nil {
+					return err
+				}
+				runtime.ReadMemStats(&ms1)
+				if sol == nil || d < elapsed {
+					elapsed = d
+					mallocs = ms1.Mallocs - ms0.Mallocs
+				}
+				sol = s
+			}
+			if ref == nil {
+				ref = sol
+			}
+			det := sol.Steps == ref.Steps && sol.Utility == ref.Utility &&
+				reflect.DeepEqual(sol.Bundles, ref.Bundles)
+			if !det {
+				rec.Deterministic = false
+			}
+			cands := sol.Delta.Calls
+			p := scalePoint{
+				Preset:        preset,
+				Nodes:         topo.NumNodes(),
+				Links:         topo.NumLinks(),
+				Aggregates:    mat.NumAggregates(),
+				Workers:       w,
+				RunNs:         elapsed.Nanoseconds(),
+				Steps:         sol.Steps,
+				Utility:       sol.Utility,
+				Candidates:    cands,
+				Fallbacks:     sol.Delta.Fallbacks,
+				Expansions:    sol.Delta.Expansions,
+				Deterministic: det,
+			}
+			if cands > 0 {
+				p.PerCandNs = elapsed.Nanoseconds() / cands
+				p.AllocsPerCand = float64(mallocs) / float64(cands)
+			}
+			rec.Points = append(rec.Points, p)
+			t.AddRow(preset, w, elapsed.Truncate(time.Millisecond),
+				sol.Steps, cands, p.PerCandNs, fmt.Sprintf("%.1f", p.AllocsPerCand), det)
 		}
 	}
 	if err := t.Render(os.Stdout); err != nil {
@@ -235,34 +211,10 @@ func scaleBench(presetCSV string, workersCSV string, seed int64, maxSteps int, o
 	}
 	c := report.NewTable("per-candidate medians on "+largest+" (Workers=1)", "strategy", "median", "speedup vs full")
 	c.AddRow("full evaluation", time.Duration(cb.MedianFullNs()).String(), "1.00x")
-	c.AddRow("delta, full Result (pr5 scoring)", time.Duration(cb.MedianDeltaNs()).String(), fmt.Sprintf("%.2fx", cb.MedianSpeedup()))
-	c.AddRow("delta, utility-only (new scoring)", time.Duration(cb.MedianUtilNs()).String(), fmt.Sprintf("%.2fx", cb.MedianUtilSpeedup()))
+	c.AddRow("delta, full Result", time.Duration(cb.MedianDeltaNs()).String(), fmt.Sprintf("%.2fx", cb.MedianSpeedup()))
+	c.AddRow("delta, utility-only (optimizer scoring)", time.Duration(cb.MedianUtilNs()).String(), fmt.Sprintf("%.2fx", cb.MedianUtilSpeedup()))
 	if err := c.Render(os.Stdout); err != nil {
 		return err
-	}
-
-	// Improvement verdict on the largest preset at Workers=1: amortized
-	// per-candidate ns and allocs from the end-to-end runs, and the
-	// median scoring cost from the differential.
-	var newPt, pr5Pt *scalePoint
-	for i := range rec.Points {
-		p := &rec.Points[i]
-		if p.Preset == largest && p.Workers == workerCounts[0] {
-			switch p.Mode {
-			case "new":
-				newPt = p
-			case "pr5":
-				pr5Pt = p
-			}
-		}
-	}
-	if newPt != nil && pr5Pt != nil {
-		rec.Improved = newPt.PerCandNs < pr5Pt.PerCandNs &&
-			newPt.AllocsPerCand <= pr5Pt.AllocsPerCand+0.5 &&
-			utilVsDelta > 1.0
-		fmt.Printf("%s per-candidate (Workers=%d): new %dns / %.1f allocs vs pr5 %dns / %.1f allocs; median scoring %.2fx faster; improved=%v\n",
-			largest, workerCounts[0], newPt.PerCandNs, newPt.AllocsPerCand,
-			pr5Pt.PerCandNs, pr5Pt.AllocsPerCand, utilVsDelta, rec.Improved)
 	}
 
 	data, err := json.MarshalIndent(rec, "", "  ")

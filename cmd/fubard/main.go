@@ -43,6 +43,11 @@ import (
 	"fubar"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so idle or trickling connections cannot pin server
+// goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		listen         = flag.String("listen", ":8080", "HTTP listen address")
@@ -81,7 +86,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("fubard listening", "addr", *listen, "max_workers", srv.MaxWorkers())

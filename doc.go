@@ -40,41 +40,33 @@
 //
 // # Migration from the free functions
 //
-// The original free functions remain as deprecated shims over the same
-// internals, so existing callers compile unchanged:
+// The original free functions and the printf-style logging option were
+// deprecated shims over the Session and have been removed. Their
+// replacements:
 //
-//	old free function              session replacement
-//	-----------------              -------------------
+//	removed                        replacement
+//	-------                        -----------
 //	Optimize(topo, mat, opts)      NewSession(topo, mat, WithOptions(opts)); s.Optimize(ctx)
 //	OptimizeModel(model, opts)     s.Optimize(ctx)            (the session owns the model)
 //	Anneal(model, aopts)           s.Anneal(ctx, aopts)
 //	AnnealRestarts(model, a, n, w) s.AnnealRestarts(ctx, a, n) (w = WithWorkers)
 //	ReplayScenario(...)            s.Replay(ctx, sc) / s.ReplayAll(ctx, sc)
 //	ReplayScenarioClosedLoop(...)  s.ReplayClosedLoop(ctx, sc) / s.ReplayClosedLoopAll(ctx, sc)
+//	RunControlLoop(...)            RunControlLoopContext(ctx, ...)
+//	printf logging option          WithLogger(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 //	Options.Deadline / EpochBudget ctx deadline, or WithBudget(d) per run/epoch
 //	Options.Trace                  WithObserver(fn)
 //	ScenarioOptions.ColdStart      WithColdStart()
-//	WithLogf(fn)                   WithLogger(l) — see the next table
 //
-// Logging moved from printf-style sinks to structured log/slog.
 // WithLogger(l *slog.Logger) receives every progress and diagnostic
 // record the session emits — Optimize completions, closed-loop epoch
 // lines, controller and agent diagnostics — with the data as slog
 // fields (epoch, steps, utility, wire_flowmods, …) rather than
-// pre-formatted text. WithLogf remains as a deprecated shim: it wraps
-// the printf sink in a handler that renders each record as one
-// "msg key=value ..." line, so existing callers keep compiling and
-// keep getting one line per record, but a real handler
-// (slog.NewTextHandler, slog.NewJSONHandler) is strictly more capable:
+// pre-formatted text. The lower layers take the same logger:
+// ControllerConfig.Logger, SwitchAgentConfig.Logger and
+// ControlLoopConfig.Logger.
 //
-//	old printf plumbing            structured replacement
-//	-------------------            ----------------------
-//	WithLogf(log.Printf)           WithLogger(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-//	ControllerConfig.Logf          ControllerConfig.Logger
-//	SwitchAgentConfig.Logf         SwitchAgentConfig.Logger
-//	ControlLoopConfig.Logf         ControlLoopConfig.Logger
-//
-// The facade also re-exports the substrate the shims and examples use:
+// The facade also re-exports the substrate the examples use:
 //
 //   - topologies (the Hurricane Electric 31-POP substitute, generators,
 //     a text format): HurricaneElectric, RingTopology, ParseTopology, …

@@ -273,27 +273,6 @@ func ForbidLinks(topo *Topology, links ...LinkID) []bool {
 	return pathgen.ForbidLinks(topo, links...)
 }
 
-// Optimize runs FUBAR end to end on a topology and matrix.
-//
-// Deprecated: build a Session and call its Optimize — the session keeps
-// the model, arenas and warm state alive across calls and takes a
-// context. This shim runs a throwaway Session under context.Background.
-func Optimize(topo *Topology, mat *Matrix, opts Options) (*Solution, error) {
-	s, err := NewSession(topo, mat, WithOptions(opts))
-	if err != nil {
-		return nil, err
-	}
-	return s.Optimize(context.Background())
-}
-
-// OptimizeModel runs FUBAR on a prepared model (reuses model storage).
-//
-// Deprecated: use Session.Optimize; a Session prepares and keeps the
-// model itself.
-func OptimizeModel(model *Model, opts Options) (*Solution, error) {
-	return core.Run(context.Background(), model, opts)
-}
-
 // Baselines.
 type (
 	// BaselineOutcome is a baseline allocation plus its evaluation.
@@ -552,17 +531,6 @@ func SparseTraffic(topo *Topology, cfg GenConfig, aggregates int) (*Matrix, erro
 	return traffic.Sparse(topo, cfg, aggregates)
 }
 
-// ReplayScenario replays a scenario over the start instance: each epoch
-// applies its events, repairs the installed allocation into a valid warm
-// start, re-optimizes, and records utility, effort and churn. Replays
-// are deterministic per seed at any worker count.
-//
-// Deprecated: use Session.Replay (streaming, context-aware) or
-// Session.ReplayAll for the collected table.
-func ReplayScenario(topo *Topology, mat *Matrix, sc Scenario, opts ScenarioOptions) (*ScenarioResult, error) {
-	return scenario.Run(context.Background(), topo, mat, sc, opts)
-}
-
 // ReplayScenarioSeeds replays a scenario once per seed across
 // ScenarioOptions.Workers goroutines, results ordered by seed index.
 func ReplayScenarioSeeds(topo *Topology, mat *Matrix, sc Scenario, seeds []int64, opts ScenarioOptions) ([]*ScenarioResult, error) {
@@ -579,23 +547,6 @@ type (
 	// InstallRecord is one wire allocation push of a closed-loop replay.
 	InstallRecord = scenario.InstallRecord
 )
-
-// ReplayScenarioClosedLoop replays a scenario with the control plane in
-// the loop: per epoch the events hit a simulated SDN network
-// (internal/sdnsim), switch agents report counters over the TCP
-// protocol, the controller estimates the traffic matrix, re-optimizes
-// warm-started under the per-epoch deadline budget, prices the
-// transition make-before-break, and installs the new allocation
-// differentially over the wire — so per-epoch FlowMods are counted
-// messages acked by the switches, not bundle-diff estimates. With no
-// EpochBudget the replay is deterministic per seed at any worker count.
-//
-// Deprecated: use Session.ReplayClosedLoop (streaming, context-aware,
-// control plane kept across calls) or Session.ReplayClosedLoopAll for
-// the collected table.
-func ReplayScenarioClosedLoop(topo *Topology, mat *Matrix, sc Scenario, opts ClosedLoopOptions) (*ScenarioResult, error) {
-	return scenario.RunClosedLoop(context.Background(), topo, mat, sc, opts)
-}
 
 // SDN measurement substrate.
 type (
@@ -667,23 +618,6 @@ type (
 	// AnnealRestartsResult is a parallel best-of-n restarts outcome.
 	AnnealRestartsResult = anneal.RestartsResult
 )
-
-// Anneal runs the naive simulated-annealing allocator on a model.
-//
-// Deprecated: use Session.Anneal, which shares the session's model and
-// takes a context.
-func Anneal(model *Model, opts AnnealOptions) (*AnnealSolution, error) {
-	return anneal.Run(context.Background(), model, opts)
-}
-
-// AnnealRestarts runs n independent annealing restarts (seeds
-// opts.Seed..opts.Seed+n-1) across up to workers goroutines, each on a
-// private evaluation arena, and returns the per-seed solutions plus the
-// best. Results are identical at any worker count.
-// Deprecated: use Session.AnnealRestarts.
-func AnnealRestarts(model *Model, opts AnnealOptions, n, workers int) (*AnnealRestartsResult, error) {
-	return anneal.RunRestarts(context.Background(), model, opts, n, workers)
-}
 
 // Traffic classification (§1 "crude heuristics supplemented by operator
 // knowledge").
@@ -828,14 +762,6 @@ func NewReplicaSet(n int, cfg ControllerConfig) (*ReplicaSet, error) {
 // for its datapath ID (a *ReplicaSet is a DialDirectory).
 func NewManagedSwitchAgent(datapathID uint32, nodeName string, dp Datapath, dir DialDirectory, cfg SwitchAgentConfig) (*ManagedSwitchAgent, error) {
 	return ctrlplane.NewManagedAgent(datapathID, nodeName, dp, dir, cfg)
-}
-
-// RunControlLoop drives the closed measurement/optimization cycle.
-//
-// Deprecated: use RunControlLoopContext, which threads a context into
-// every optimization.
-func RunControlLoop(ctrl *Controller, topo *Topology, keys []AggregateKey, cfg ControlLoopConfig, advance func() error) (*ControlLoopResult, error) {
-	return ctrlplane.RunLoop(context.Background(), ctrl, topo, keys, cfg, advance)
 }
 
 // RunControlLoopContext drives the closed measurement/optimization

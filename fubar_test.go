@@ -111,12 +111,9 @@ func TestFacadeOptimizeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var traced int
-	sol, err := Optimize(topo, mat, Options{
+	sol := optimize(t, topo, mat, Options{
 		Trace: func(s Snapshot) { traced++ },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if sol.Utility < sol.InitialUtility {
 		t.Errorf("utility %v below initial %v", sol.Utility, sol.InitialUtility)
 	}
@@ -237,10 +234,7 @@ func TestFacadeSDNLoop(t *testing.T) {
 		t.Errorf("estimated %d aggregates, truth has %d",
 			estMat.NumAggregates(), truth.NumAggregates())
 	}
-	sol, err := Optimize(topo, estMat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := optimize(t, topo, estMat, Options{})
 	if err := sim.Install(sol.Bundles); err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +259,7 @@ func TestFacadeNewMatrixAndBundle(t *testing.T) {
 	if mat.TotalFlows() != 3 {
 		t.Error("TotalFlows")
 	}
-	sol, err := Optimize(topo, mat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := optimize(t, topo, mat, Options{})
 	if sol.Utility != 1 {
 		t.Errorf("trivial instance utility = %v", sol.Utility)
 	}
@@ -295,13 +286,27 @@ func testRingInstance(t *testing.T, seed int64) (*Topology, *Matrix) {
 	return topo, mat
 }
 
+// optimize runs one cold optimization through a throwaway Session.
+func optimize(t *testing.T, topo *Topology, mat *Matrix, opts Options) *Solution {
+	t.Helper()
+	s, err := NewSession(topo, mat, WithOptions(opts))
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	sol, err := s.Optimize(t.Context())
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	return sol
+}
+
 func TestFacadeAnneal(t *testing.T) {
 	topo, mat := testRingInstance(t, 9)
-	model, err := NewModel(topo, mat)
+	s, err := NewSession(topo, mat)
 	if err != nil {
-		t.Fatalf("NewModel: %v", err)
+		t.Fatalf("NewSession: %v", err)
 	}
-	sol, err := Anneal(model, AnnealOptions{Seed: 9, MaxIterations: 3000})
+	sol, err := s.Anneal(t.Context(), AnnealOptions{Seed: 9, MaxIterations: 3000})
 	if err != nil {
 		t.Fatalf("Anneal: %v", err)
 	}
@@ -329,14 +334,7 @@ func TestFacadeClassifier(t *testing.T) {
 
 func TestFacadeDynamicsAndValidation(t *testing.T) {
 	topo, mat := testRingInstance(t, 13)
-	model, err := NewModel(topo, mat)
-	if err != nil {
-		t.Fatalf("NewModel: %v", err)
-	}
-	sol, err := OptimizeModel(model, Options{})
-	if err != nil {
-		t.Fatalf("OptimizeModel: %v", err)
-	}
+	sol := optimize(t, topo, mat, Options{})
 	sim, err := SimulateDynamics(topo, mat, sol.Bundles, DynConfig{DurationMs: 10000})
 	if err != nil {
 		t.Fatalf("SimulateDynamics: %v", err)
@@ -383,11 +381,11 @@ func TestFacadeControlPlane(t *testing.T) {
 	if err := ctrl.WaitForSwitches(topo.NumNodes(), 5*time.Second); err != nil {
 		t.Fatalf("WaitForSwitches: %v", err)
 	}
-	res, err := RunControlLoop(ctrl, topo, EstimatorKeys(mat), ControlLoopConfig{
+	res, err := RunControlLoopContext(t.Context(), ctrl, topo, EstimatorKeys(mat), ControlLoopConfig{
 		Epochs: 3, OptimizeEvery: 3,
 	}, fabric.RunEpoch)
 	if err != nil {
-		t.Fatalf("RunControlLoop: %v", err)
+		t.Fatalf("RunControlLoopContext: %v", err)
 	}
 	if res.Installs != 1 || res.Epochs != 3 {
 		t.Fatalf("loop result wrong: %+v", res)
@@ -396,10 +394,7 @@ func TestFacadeControlPlane(t *testing.T) {
 
 func TestFacadeMPLS(t *testing.T) {
 	topo, mat := testRingInstance(t, 21)
-	sol, err := Optimize(topo, mat, Options{})
-	if err != nil {
-		t.Fatalf("Optimize: %v", err)
-	}
+	sol := optimize(t, topo, mat, Options{})
 	db, err := NewLSPDB(topo)
 	if err != nil {
 		t.Fatalf("NewLSPDB: %v", err)
@@ -438,9 +433,13 @@ func TestFacadeFailover(t *testing.T) {
 func TestFacadeScenarioReplay(t *testing.T) {
 	topo, mat := testRingInstance(t, 31)
 	sc := DiurnalScenario(3, 4, 0.3, 0.1)
-	res, err := ReplayScenario(topo, mat, sc, ScenarioOptions{})
+	s, err := NewSession(topo, mat)
 	if err != nil {
-		t.Fatalf("ReplayScenario: %v", err)
+		t.Fatalf("NewSession: %v", err)
+	}
+	res, err := s.ReplayAll(t.Context(), sc)
+	if err != nil {
+		t.Fatalf("ReplayAll: %v", err)
 	}
 	if len(res.Epochs) != 4 || res.TotalSteps() == 0 {
 		t.Fatalf("replay shape wrong: %+v", res)
@@ -458,7 +457,7 @@ func TestFacadeScenarioReplay(t *testing.T) {
 			{Epoch: 2, Kind: EventLinkRecover, Link: 0},
 		},
 	}
-	cres, err := ReplayScenario(topo, mat, custom, ScenarioOptions{})
+	cres, err := s.ReplayAll(t.Context(), custom)
 	if err != nil {
 		t.Fatalf("custom replay: %v", err)
 	}
@@ -474,7 +473,7 @@ func TestFacadeScenarioReplay(t *testing.T) {
 		t.Fatalf("seed fan-out wrong: %+v", many)
 	}
 	// Warm-start repair exposed directly.
-	sol, err := Optimize(topo, mat, Options{})
+	sol, err := s.Optimize(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

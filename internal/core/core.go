@@ -37,11 +37,11 @@
 // flowmodel.Eval.EvaluateDelta against that shared read-only base: only
 // the sub-problem the move actually perturbs is re-filled, with automatic
 // fallback to a full evaluation when the affected set is large. Scoring
-// uses the utility-only delta mode by default (EvaluateDeltaUtility —
-// no Result finalization; see Options.DisableUtilityScoring), while the
-// committed move always gets a full result. Delta results are
-// bit-identical to full evaluations of the same list, so DeltaAuto and
-// DeltaOff commit the exact same move sequence at any worker count.
+// uses the utility-only delta mode (EvaluateDeltaUtility — no Result
+// finalization), while the committed move always gets a full result.
+// Delta results are bit-identical to full evaluations of the same list,
+// so DeltaAuto and DeltaOff commit the exact same move sequence at any
+// worker count.
 package core
 
 import (
@@ -168,26 +168,6 @@ type Options struct {
 	// DisableEscalation turns off §2.5 escalation (ablation only): the
 	// optimizer then terminates at the first local optimum.
 	DisableEscalation bool
-	// DisableBaseReuse restores the pre-session behavior of capturing a
-	// fresh delta base every step (benchmarking knob: it isolates the
-	// cost of per-step base captures against the persistent patched
-	// base). Committed solutions are bit-identical either way.
-	DisableBaseReuse bool
-	// DisableUtilityScoring makes candidate scoring use full-Result
-	// incremental evaluations (flowmodel.Eval.EvaluateDelta) instead of
-	// the default utility-only scoring (EvaluateDeltaUtility), which
-	// skips Result finalization — link-load summation, congested-list
-	// rebuild, per-bundle rate materialization — for the thousands of
-	// candidates per step that only need a single float compared.
-	// Scoring utilities are bit-identical either way; this knob only
-	// re-creates the older, slower path for benchmarking.
-	DisableUtilityScoring bool
-	// DisableTrialReuse makes each candidate evaluation copy the step's
-	// committed dense list into the worker's buffer before patching it —
-	// the O(bundles)-per-candidate behavior patch-and-revert replaced.
-	// Benchmarking knob; committed solutions are bit-identical either
-	// way.
-	DisableTrialReuse bool
 	// InitialBundles warm-starts the optimizer from an existing
 	// allocation instead of Listing 1 line 1's all-on-lowest-delay
 	// placement — the incremental re-optimization an offline controller
@@ -202,8 +182,8 @@ type Options struct {
 	// Solution.FinalBase. The base is detached from the optimizer — a
 	// later run on the same optimizer starts a fresh one — so the caller
 	// owns it outright; hand it back to a later run via WarmBase to
-	// recycle its storage. No effect under DisableBaseReuse or when the
-	// run never built a base.
+	// recycle its storage. No effect when the run never built a base
+	// (DeltaOff).
 	KeepFinalBase bool
 	// WarmBase and WarmBaseSpare donate recycled Base storage (typically
 	// a previous run's Solution.FinalBase / FinalBaseSpare) for this
@@ -440,9 +420,6 @@ type Optimizer struct {
 	// mirrors the committed dense list (patch-and-revert) or must resync
 	// with one full copy for the step.
 	denseGen uint64
-	// scoreUtil selects utility-only candidate scoring for the current
-	// step's delta evaluations (set by step from the options).
-	scoreUtil bool
 
 	// scratch
 	// congAll is set from the congested-link list before collection and
@@ -563,14 +540,14 @@ func (o *Optimizer) Run(ctx context.Context) (*Solution, error) {
 	if o.tm != nil {
 		o.tm.Runs.Inc()
 	}
-	// The initial evaluation doubles as the first base capture when the
-	// persistent-base machinery is on: EvaluateBase returns exactly what
-	// Evaluate would (the capture is a copy-out, not different math), and
-	// the first step then carries it over by index remap instead of
-	// paying its own EvaluateBase — so a run's capture count is the
-	// initial evaluation itself, nothing more.
+	// Under DeltaAuto the initial evaluation doubles as the first base
+	// capture: EvaluateBase returns exactly what Evaluate would (the
+	// capture is a copy-out, not different math), and the first step then
+	// carries it over by index remap instead of paying its own
+	// EvaluateBase — so a run's capture count is the initial evaluation
+	// itself, nothing more.
 	var res *flowmodel.Result
-	if o.baseReuseEnabled() && o.opts.DeltaEval == DeltaAuto && !o.deltaOff {
+	if o.opts.DeltaEval == DeltaAuto && !o.deltaOff {
 		o.ensureBase()
 		res = o.baseEval.EvaluateBase(o.buildPositiveLayout(), o.base)
 		o.baseStats.Captures++
@@ -702,7 +679,7 @@ loop:
 		sol.Delta.Add(w.eval.DeltaStats())
 	}
 	sol.Base = o.baseStats
-	if o.opts.KeepFinalBase && o.base != nil && o.baseReuseEnabled() {
+	if o.opts.KeepFinalBase && o.base != nil {
 		sol.FinalBase = o.base
 		sol.FinalBaseSpare = o.altBase
 		o.base = nil
@@ -956,11 +933,11 @@ func (o *Optimizer) evaluate() *flowmodel.Result {
 // positive entry is captured; entries dropped relative to the base are
 // inert zero-flow placeholders), so the capture remaps onto it and the
 // Result materializes from the base with no water-filling at all.
-// Otherwise — base machinery off, base staled by a full-path commit, or
+// Otherwise — no base (DeltaOff), base staled by a full-path commit, or
 // the remap refused — the classic full evaluation runs. Both paths are
 // bit-identical by the CommitDelta/RemapBase contract.
 func (o *Optimizer) finalResult() *flowmodel.Result {
-	if o.baseLive && o.baseReuseEnabled() {
+	if o.baseLive {
 		dense := o.buildPositiveLayout()
 		if slices.Equal(o.basePath, o.densePath) && slices.Equal(o.baseSeg, o.denseSeg) {
 			o.baseStats.FinalFromBase++
@@ -1038,19 +1015,17 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 	// runs always take the delta path: they measure both strategies per
 	// candidate.)
 	const deltaMinCandidates = 3
-	reuse := o.baseReuseEnabled()
-	useDelta := o.opts.DeltaEval == DeltaAuto && !o.deltaOff &&
-		(len(cands) >= deltaMinCandidates || (reuse && o.baseLive))
-	if useDelta || o.probe != nil {
-		// Incremental: evaluate the committed state once (over the step's
-		// semi-dense list, so every candidate is a two-index patch of it)
-		// and delta-evaluate each candidate against that shared snapshot.
-		// Scoring only needs the utility, so by default each delta runs in
-		// utility-only mode; the committed move's full result comes from
-		// rebase (or the pass loop's evaluate), never from scoring.
-		o.scoreUtil = !o.opts.DisableUtilityScoring
+	useDelta := o.probe != nil || (o.opts.DeltaEval == DeltaAuto && !o.deltaOff &&
+		(len(cands) >= deltaMinCandidates || o.baseLive))
+	if useDelta {
+		// Incremental: carry the committed state's base over (or capture
+		// it once, over the step's semi-dense list, so every candidate is
+		// a two-index patch of it) and delta-evaluate each candidate
+		// against that shared snapshot. Scoring only needs the utility, so
+		// each delta runs in utility-only mode; the committed move's full
+		// result comes from rebase, never from scoring.
 		dense := o.buildStepBundles(cands)
-		o.prepareBase(dense, reuse)
+		o.prepareBase(dense)
 		o.evaluateCandidates(cands, dense, o.base)
 		o.maybeLatchDeltaOff()
 	} else {
@@ -1073,7 +1048,7 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 		return false, nil
 	}
 	o.commit(cands[bestIdx])
-	if useDelta && reuse {
+	if useDelta {
 		// Fold the committed move into the live base and hand the
 		// committed allocation's evaluation to the pass loop — no
 		// post-commit full evaluation, no next-step recapture.
@@ -1085,23 +1060,14 @@ func (o *Optimizer) step(link graph.EdgeID, uInit float64, congested []graph.Edg
 	return true, nil
 }
 
-// baseReuseEnabled reports whether the persistent-base machinery is on:
-// it is the default for DeltaAuto, disabled by the benchmarking knob and
-// for instrumented (probe) runs, which measure per-candidate strategies
-// against a per-step capture.
-func (o *Optimizer) baseReuseEnabled() bool {
-	return !o.opts.DisableBaseReuse && o.probe == nil
-}
-
 // prepareBase makes o.base capture the committed allocation over the
-// dense list just built by buildStepBundles. With reuse enabled and a
-// live base the capture is carried over — untouched when the layout is
-// identical (escalation retries), index-remapped when only the
-// placeholder population changed — and only failing that (or with reuse
-// off) does a full EvaluateBase run.
-func (o *Optimizer) prepareBase(dense []flowmodel.Bundle, reuse bool) {
+// dense list just built by buildStepBundles. A live base is carried over
+// — untouched when the layout is identical (escalation retries),
+// index-remapped when only the placeholder population changed — and only
+// failing that does a full EvaluateBase run.
+func (o *Optimizer) prepareBase(dense []flowmodel.Bundle) {
 	o.ensureBase()
-	if reuse && o.baseLive {
+	if o.baseLive {
 		if slices.Equal(o.basePath, o.densePath) && slices.Equal(o.baseSeg, o.denseSeg) {
 			o.baseStats.Skips++
 			return
@@ -1114,10 +1080,8 @@ func (o *Optimizer) prepareBase(dense []flowmodel.Bundle, reuse bool) {
 	}
 	o.baseEval.EvaluateBase(dense, o.base)
 	o.baseStats.Captures++
-	o.baseLive = reuse
-	if reuse {
-		o.saveBaseLayout()
-	}
+	o.baseLive = true
+	o.saveBaseLayout()
 }
 
 // ensureBase lazily constructs the delta-base machinery, adopting
@@ -1409,10 +1373,9 @@ func (o *Optimizer) evaluateCandidates(cands []candidate, committed []flowmodel.
 // With a base snapshot the trial list is the worker's persistent copy of
 // the semi-dense committed list with the (from, to, n) flow patch at two
 // fixed indices — the delta's changed set — and the evaluation is
-// incremental (utility-only by default: scoring needs one float, not a
-// finalized Result). The patch is reverted after the evaluation, so the
-// buffer mirrors the committed list again for the worker's next
-// candidate. Without a base the trial list is the positive committed
+// incremental and utility-only (scoring needs one float, not a finalized
+// Result). The patch is reverted after the evaluation, so the buffer
+// mirrors the committed list again for the worker's next candidate. Without a base the trial list is the positive committed
 // list with the moving aggregate's segment rebuilt under the patch, run
 // through a full water-filling. Either way the utility is bit-identical:
 // placeholders are float-inert and only reindex the active bundles
@@ -1423,13 +1386,10 @@ func (o *Optimizer) evalCandidate(w *worker, c *candidate, committed []flowmodel
 	}
 	buf := o.patchCandidate(w, c, committed)
 	var u float64
-	switch {
-	case o.probe != nil:
+	if o.probe != nil {
 		u = o.probe(w, buf, w.changed[:], base)
-	case o.scoreUtil:
+	} else {
 		u, _ = w.eval.EvaluateDeltaUtility(base, buf, w.changed[:])
-	default:
-		u = w.eval.EvaluateDelta(base, buf, w.changed[:]).NetworkUtility
 	}
 	o.revertCandidate(w, c)
 	return u
@@ -1440,11 +1400,11 @@ func (o *Optimizer) evalCandidate(w *worker, c *candidate, committed []flowmodel
 // patch — and records the two patched indices in w.changed (ascending).
 // The buffer persists across candidates: it is copied from the dense
 // list only when stale for this step (first candidate after a
-// buildStepBundles, or with DisableTrialReuse every time); otherwise the
-// patch writes exactly two entries of a list revertCandidate restored to
-// the committed layout after the previous candidate.
+// buildStepBundles); otherwise the patch writes exactly two entries of a
+// list revertCandidate restored to the committed layout after the
+// previous candidate.
 func (o *Optimizer) patchCandidate(w *worker, c *candidate, dense []flowmodel.Bundle) []flowmodel.Bundle {
-	if o.opts.DisableTrialReuse || w.syncGen != o.denseGen {
+	if w.syncGen != o.denseGen {
 		w.buf = append(w.buf[:0], dense...)
 		w.syncGen = o.denseGen
 		if o.tm != nil {

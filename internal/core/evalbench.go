@@ -96,8 +96,11 @@ func medianNs(ns []int64) int64 {
 // evaluated three ways — a full water-filling on a separate arena, a
 // full-Result incremental delta, and a utility-only delta (the latter
 // driving the run) — timing each and asserting all three agree bit for
-// bit. Workers is forced to benchWorkers (recorded in the result) so the
-// timings don't contend for the CPU.
+// bit. The deltas run against the run's persistent base — carried over,
+// remapped and rebased across steps exactly as in an uninstrumented run —
+// so the differential covers every base the optimizer scores against,
+// not just fresh captures. Workers is forced to benchWorkers (recorded
+// in the result) so the timings don't contend for the CPU.
 func RunCandidateBench(model *flowmodel.Model, opts Options) (*CandidateBenchResult, error) {
 	opts.Workers = benchWorkers
 	opts.DeltaEval = DeltaAuto

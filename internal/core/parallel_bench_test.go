@@ -69,9 +69,12 @@ func BenchmarkStepCandidates(b *testing.B) {
 					// Mirror step(): the delta path patches the semi-dense
 					// list against a base snapshot, the full path patches
 					// per-candidate positive lists.
+					// Dropping the live base makes every iteration pay
+					// the capture a step without a carried-over base pays.
 					if delta == DeltaAuto {
 						dense := o.buildStepBundles(cands)
-						o.prepareBase(dense, false)
+						o.baseLive = false
+						o.prepareBase(dense)
 						o.evaluateCandidates(cands, dense, o.base)
 					} else {
 						o.evaluateCandidates(cands, o.buildBundles(), nil)
@@ -90,7 +93,7 @@ func BenchmarkStepCandidates(b *testing.B) {
 }
 
 // BenchmarkRunWorkers measures a whole optimization end to end at several
-// worker counts (what cmd/fubar-bench -exp corebench records).
+// worker counts.
 func BenchmarkRunWorkers(b *testing.B) {
 	topo, err := topology.Ring(10, 6, 1500*unit.Kbps, 1)
 	if err != nil {

@@ -38,8 +38,8 @@ func waxmanScaleInstance(t *testing.T, seed int64) (*topology.Topology, *traffic
 // TestScaleWorkerDeterminism asserts the scale-out pipeline's acceptance
 // criterion on a ~200-node instance: the committed move sequence —
 // per-step utility trajectory, final bundles, utility, stop reason — is
-// bit-identical across worker counts, DeltaEval on/off, utility-only
-// scoring on/off, and patch-and-revert on/off.
+// bit-identical across worker counts, DeltaEval on/off and telemetry
+// on/off.
 func TestScaleWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second 200-node determinism matrix")
@@ -59,11 +59,8 @@ func TestScaleWorkerDeterminism(t *testing.T) {
 		name string
 		mod  func(*Options)
 	}{
-		{"workers=1 full-result scoring", func(o *Options) { o.DisableUtilityScoring = true }},
 		{"workers=1 delta off", func(o *Options) { o.DeltaEval = DeltaOff }},
 		{"workers=4", func(o *Options) { o.Workers = 4 }},
-		{"workers=4 full-result scoring", func(o *Options) { o.Workers = 4; o.DisableUtilityScoring = true }},
-		{"workers=4 no trial reuse", func(o *Options) { o.Workers = 4; o.DisableTrialReuse = true }},
 		{"workers=4 delta off", func(o *Options) { o.Workers = 4; o.DeltaEval = DeltaOff }},
 		// Telemetry must observe without perturbing: instrumented runs
 		// commit the identical move sequence (ISSUE 7 acceptance).

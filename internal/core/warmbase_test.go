@@ -156,18 +156,22 @@ func TestEpochWarmSingleCapture(t *testing.T) {
 	}
 }
 
-// TestDisableBaseReuseKeepsNoFinalBase checks KeepFinalBase is inert
-// when the run never builds a persistent base.
-func TestDisableBaseReuseKeepsNoFinalBase(t *testing.T) {
+// TestDeltaOffKeepsNoFinalBase checks KeepFinalBase is inert when the
+// run never builds a persistent base: the DeltaOff oracle scores every
+// candidate by full evaluation and never captures one.
+func TestDeltaOffKeepsNoFinalBase(t *testing.T) {
 	_, _, m := propInstance(t, 4)
-	sol, err := Run(context.Background(), m, Options{Workers: 1, KeepFinalBase: true, DisableBaseReuse: true})
+	sol, err := Run(context.Background(), m, Options{Workers: 1, KeepFinalBase: true, DeltaEval: DeltaOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.FinalBase != nil || sol.FinalBaseSpare != nil {
-		t.Fatalf("DisableBaseReuse run still exported a base pair (%p, %p)", sol.FinalBase, sol.FinalBaseSpare)
+	if sol.Steps == 0 {
+		t.Fatal("instance not congested: the run never reached the base machinery")
 	}
-	if sol.Base.FinalFromBase != 0 {
-		t.Fatalf("reuse-off run claims base-materialized finals: %+v", sol.Base)
+	if sol.FinalBase != nil || sol.FinalBaseSpare != nil {
+		t.Fatalf("DeltaOff run still exported a base pair (%p, %p)", sol.FinalBase, sol.FinalBaseSpare)
+	}
+	if sol.Base != (BaseStats{}) {
+		t.Fatalf("DeltaOff run claims base activity: %+v", sol.Base)
 	}
 }

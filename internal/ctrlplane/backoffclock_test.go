@@ -46,16 +46,26 @@ func (c *fakeClock) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
-// mutableDirectory is a DialDirectory the test can repoint mid-run.
+// mutableDirectory is a DialDirectory the test can repoint mid-run. It
+// counts lookups, so the test can tell which dial round has already read
+// the directory.
 type mutableDirectory struct {
 	mu    sync.Mutex
 	addrs []string
+	reads int
 }
 
 func (d *mutableDirectory) DialOrder(uint32) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.reads++
 	return d.addrs
+}
+
+func (d *mutableDirectory) lookups() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.reads
 }
 
 func (d *mutableDirectory) set(addrs ...string) {
@@ -116,8 +126,22 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 	// Six failed rounds walk the full schedule: 8, 16, 32, 64, 64, 64 ms
 	// pre-jitter, each delay in [b/2, b] and equal to the replayed rng.
 	bounds := backoff
+	var ctrl *Controller
 	for i := 0; i < 6; i++ {
 		want := nextWant()
+		if i == 5 {
+			// Point the directory at a live controller before receiving
+			// the sixth delay: the receive releases the sleep, and the
+			// loop's next dial must already see the controller. The sixth
+			// dial must still see the empty directory, so wait until it
+			// has read it.
+			waitCond(t, "sixth dial", func() bool { return dir.lookups() >= 6 })
+			ctrl, err = Listen("127.0.0.1:0", ControllerConfig{})
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			dir.set(ctrl.Addr().String())
+		}
 		got := recv("initial")
 		if got != want {
 			t.Fatalf("round %d: delay %v, want %v (jittered schedule diverged)", i, got, want)
@@ -130,13 +154,6 @@ func TestManagedAgentBackoffSchedule(t *testing.T) {
 		}
 	}
 
-	// Point the directory at a live controller before releasing the
-	// sixth sleep's round, so the next dial succeeds.
-	ctrl, err := Listen("127.0.0.1:0", ControllerConfig{})
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	dir.set(ctrl.Addr().String())
 	waitCond(t, "agent connected", func() bool { return ma.Connects() == 1 })
 
 	// Kill the controller: the serve loop returns, and the redial

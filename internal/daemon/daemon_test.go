@@ -301,7 +301,10 @@ func TestReplayStreamAndDisconnect(t *testing.T) {
 	}
 
 	// Bad parameters 400 without touching the controller.
-	for _, q := range []string{"scenario=nope&epochs=3", "scenario=diurnal&epochs=0", "scenario=diurnal&epochs=3&mode=weird"} {
+	for _, q := range []string{
+		"scenario=nope&epochs=3", "scenario=diurnal&epochs=0", "scenario=diurnal&epochs=3&mode=weird",
+		"scenario=diurnal&epochs=2000000000", fmt.Sprintf("scenario=diurnal&epochs=%d", maxReplayEpochs+1),
+	} {
 		resp, err := http.Get(ts.URL + "/v1/tenants/a/replay?" + q)
 		if err != nil {
 			t.Fatal(err)

@@ -32,7 +32,7 @@ import (
 //	GET    /healthz                     liveness
 //
 // replay query parameters: scenario (canned name, see scenario.Names),
-// epochs, seed, and mode=open|closed — closed replays through the
+// epochs (1..maxReplayEpochs), seed, and mode=open|closed — closed replays through the
 // emulated control plane (installs, acks, failovers) like
 // Session.ReplayClosedLoop.
 func (s *Server) routes() http.Handler {
@@ -175,6 +175,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sol.Summary())
 }
 
+// maxReplayEpochs caps a replay request's epochs: the scenario timeline
+// is built up front in O(epochs) memory, so an unbounded value would let
+// one request exhaust the daemon. The cap is the million-epoch soak
+// horizon.
+const maxReplayEpochs = 1_000_000
+
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	t, release, ok := s.acquire(r.PathValue("id"))
 	if !ok {
@@ -186,8 +192,8 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	epochs := 16
 	if v := q.Get("epochs"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad epochs %q", v))
+		if err != nil || n < 1 || n > maxReplayEpochs {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("daemon: bad epochs %q (want 1..%d)", v, maxReplayEpochs))
 			return
 		}
 		epochs = n

@@ -145,7 +145,10 @@ func (c *CDF) Quantile(q float64) float64 {
 	if i+1 >= n {
 		return c.sorted[n-1]
 	}
-	return c.sorted[i]*(1-frac) + c.sorted[i+1]*frac
+	// a+(b-a)*frac, clamped to b, never leaves [a, b]: a*(1-frac)+b*frac
+	// can round below a when a == b, breaking monotonicity.
+	a, b := c.sorted[i], c.sorted[i+1]
+	return min(a+(b-a)*frac, b)
 }
 
 // Median returns the 0.5 quantile.

@@ -133,6 +133,24 @@ func TestCDFQuantile(t *testing.T) {
 	}
 }
 
+// TestCDFQuantileTies pins interpolation between equal neighbours: it
+// must return the tied value exactly, so quantiles stay monotone. The
+// input is a counterexample the TestCDFProperties search once found.
+func TestCDFQuantileTies(t *testing.T) {
+	c := NewCDF([]float64{-328, -328, 952})
+	if got := c.Quantile(0.1); got != -328 {
+		t.Errorf("Q(0.1) = %v, want exactly -328", got)
+	}
+	prev := math.Inf(-1)
+	for q := 0.0; q <= 1; q += 0.01 {
+		v := c.Quantile(q)
+		if v < prev {
+			t.Fatalf("Q(%v) = %v < previous quantile %v", q, v, prev)
+		}
+		prev = v
+	}
+}
+
 // Property: P is monotone and Quantile inverts P approximately.
 func TestCDFProperties(t *testing.T) {
 	f := func(raw []float64) bool {

@@ -145,12 +145,11 @@ func TestScenarioMatrix(t *testing.T) {
 }
 
 // TestEpochWarmBaseBitIdentity pins the epoch-warm delta-Base replay
-// against the capture path: a replay whose epochs recycle one
+// against the DeltaOff oracle: a replay whose epochs recycle one
 // persistent Base (the default) must produce the bit-identical epoch
-// table to one that re-captures a fresh base every step
-// (core.Options.DisableBaseReuse) — plain and closed-loop alike. This
-// is the acceptance gate for skipping the per-epoch EvaluateBase
-// capture.
+// table to one that scores every candidate by full evaluation and never
+// builds a base (core.DeltaOff) — plain and closed-loop alike. This is
+// the acceptance gate for skipping the per-epoch EvaluateBase capture.
 func TestEpochWarmBaseBitIdentity(t *testing.T) {
 	topo, mat := matrixInstance(t)
 	ctx := context.Background()
@@ -164,12 +163,12 @@ func TestEpochWarmBaseBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			capture, err := Run(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2, DisableBaseReuse: true}})
+			full, err := Run(ctx, topo, mat, sc, Options{Core: core.Options{Workers: 2, DeltaEval: core.DeltaOff}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !warm.Equivalent(capture) {
-				t.Fatalf("epoch-warm base diverged from capture path:\n warm=%+v\n capt=%+v", warm.Epochs, capture.Epochs)
+			if !warm.Equivalent(full) {
+				t.Fatalf("epoch-warm base diverged from delta off:\n warm=%+v\n full=%+v", warm.Epochs, full.Epochs)
 			}
 		})
 		t.Run("closedloop/"+name, func(t *testing.T) {
@@ -177,12 +176,12 @@ func TestEpochWarmBaseBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			capture, err := RunClosedLoop(ctx, topo, mat, sc, ClosedLoopOptions{Core: core.Options{Workers: 2, DisableBaseReuse: true}})
+			full, err := RunClosedLoop(ctx, topo, mat, sc, ClosedLoopOptions{Core: core.Options{Workers: 2, DeltaEval: core.DeltaOff}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !warm.Equivalent(capture) {
-				t.Fatalf("epoch-warm base diverged from capture path:\n warm=%+v\n capt=%+v", warm.Epochs, capture.Epochs)
+			if !warm.Equivalent(full) {
+				t.Fatalf("epoch-warm base diverged from delta off:\n warm=%+v\n full=%+v", warm.Epochs, full.Epochs)
 			}
 		})
 	}

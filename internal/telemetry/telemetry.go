@@ -1,12 +1,5 @@
 package telemetry
 
-import (
-	"context"
-	"fmt"
-	"log/slog"
-	"strings"
-)
-
 // Telemetry bundles the metrics registry and the span tracer that are
 // threaded through the optimizer, the scenario engine and the control
 // plane. The zero value is not usable; call New. A nil *Telemetry is a
@@ -202,43 +195,3 @@ func (t *Telemetry) Tenant() *TenantMetrics {
 		Seed:    r.Gauge("fubar_tenant_seed", "This tenant's instance seed."),
 	}
 }
-
-// LogfLogger adapts a printf-style sink into a *slog.Logger, for the
-// deprecated WithLogf option. Each record is rendered as one line:
-// "msg key=value key=value". A nil fn yields a discarding logger.
-func LogfLogger(fn func(format string, args ...any)) *slog.Logger {
-	if fn == nil {
-		return slog.New(slog.DiscardHandler)
-	}
-	return slog.New(&logfHandler{fn: fn})
-}
-
-type logfHandler struct {
-	fn    func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h *logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h *logfHandler) Handle(_ context.Context, rec slog.Record) error {
-	var b strings.Builder
-	b.WriteString(rec.Message)
-	emit := func(a slog.Attr) {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Resolve().Any())
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	rec.Attrs(func(a slog.Attr) bool {
-		emit(a)
-		return true
-	})
-	h.fn("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &logfHandler{fn: h.fn, attrs: append(append([]slog.Attr(nil), h.attrs...), attrs...)}
-}
-
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }

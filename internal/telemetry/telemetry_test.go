@@ -186,28 +186,3 @@ func TestHandlerMetricsAndTrace(t *testing.T) {
 		t.Fatalf("trace event name = %q", ev.Name)
 	}
 }
-
-func TestLogfLogger(t *testing.T) {
-	var lines []string
-	l := LogfLogger(func(format string, args ...any) {
-		lines = append(lines, strings.TrimSpace(strings.ReplaceAll(format, "%s", "")+join(args)))
-	})
-	l.With("epoch", 3).Info("closed loop", "utility", 1.5)
-	if len(lines) != 1 {
-		t.Fatalf("got %d lines", len(lines))
-	}
-	if !strings.Contains(lines[0], "closed loop") || !strings.Contains(lines[0], "epoch=3") || !strings.Contains(lines[0], "utility=1.5") {
-		t.Fatalf("formatted line = %q", lines[0])
-	}
-	if LogfLogger(nil) == nil {
-		t.Fatal("nil fn must yield a discarding logger, not nil")
-	}
-}
-
-func join(args []any) string {
-	var b strings.Builder
-	for _, a := range args {
-		b.WriteString(a.(string))
-	}
-	return b.String()
-}

@@ -11,7 +11,6 @@ import (
 	"fubar/internal/core"
 	"fubar/internal/flowmodel"
 	"fubar/internal/scenario"
-	"fubar/internal/telemetry"
 	"fubar/internal/traffic"
 )
 
@@ -206,17 +205,6 @@ func WithTrajectory(points int) SessionOption {
 // or JSON sinks without interleaving with -json output on stdout.
 func WithLogger(l *slog.Logger) SessionOption {
 	return func(c *sessionConfig) { c.logger = l }
-}
-
-// WithLogf directs the session's progress lines to a printf-style
-// sink.
-//
-// Deprecated: use WithLogger. WithLogf wraps fn in a slog handler that
-// renders each record as "msg key=value ..." and forwards it in a
-// single fn call; structured handlers (slog.NewJSONHandler, …) are
-// strictly more capable.
-func WithLogf(fn func(string, ...any)) SessionOption {
-	return func(c *sessionConfig) { c.logger = telemetry.LogfLogger(fn) }
 }
 
 // WithTelemetry attaches a metrics registry and tracer to the session:

@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"fubar"
+	"fubar/internal/core"
+	"fubar/internal/flowmodel"
+	"fubar/internal/scenario"
 )
 
 func sessionInstance(t *testing.T) (*fubar.Topology, *fubar.Matrix) {
@@ -26,12 +29,16 @@ func sessionInstance(t *testing.T) (*fubar.Topology, *fubar.Matrix) {
 }
 
 // TestSessionOptimizeMatchesFreeFunction proves the Session path commits
-// the exact solution of the deprecated free-function path, and that a
-// second Optimize warm-starts from the first (the long-lived-controller
+// the exact solution of a one-shot core.Run over a fresh model, and that
+// a second Optimize warm-starts from the first (the long-lived-controller
 // idempotence the Session exists for).
 func TestSessionOptimizeMatchesFreeFunction(t *testing.T) {
 	topo, mat := sessionInstance(t)
-	old, err := fubar.Optimize(topo, mat, fubar.Options{Workers: 1})
+	model, err := flowmodel.New(topo, mat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := core.Run(context.Background(), model, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +70,11 @@ func TestSessionOptimizeMatchesFreeFunction(t *testing.T) {
 }
 
 // TestSessionReplayStreamsAndMatches proves Session.Replay yields the
-// epochs ReplayScenario returns, epoch by epoch.
+// epochs a one-shot scenario.Run returns, epoch by epoch.
 func TestSessionReplayStreamsAndMatches(t *testing.T) {
 	topo, mat := sessionInstance(t)
 	day := fubar.DiurnalScenario(7, 5, 0.4, 0.15)
-	old, err := fubar.ReplayScenario(topo, mat, day, fubar.ScenarioOptions{Core: fubar.Options{Workers: 1}})
+	old, err := scenario.Run(context.Background(), topo, mat, day, scenario.Options{Core: core.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +87,7 @@ func TestSessionReplayStreamsAndMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Equivalent(old) {
-		t.Fatalf("session replay diverged from ReplayScenario:\n new=%+v\n old=%+v", got.Epochs, old.Epochs)
+		t.Fatalf("session replay diverged from scenario.Run:\n new=%+v\n old=%+v", got.Epochs, old.Epochs)
 	}
 }
 
@@ -98,15 +105,14 @@ func closedLoopScenario(seed int64) fubar.Scenario {
 }
 
 // TestSessionClosedLoopMatchesFreeFunction is the acceptance check: a
-// same-seed uncancelled Session.ReplayClosedLoop is bit-identical to
-// the deprecated ReplayScenarioClosedLoop output (epoch table and
-// install sequence), while streaming epoch by epoch instead of
-// buffering.
+// same-seed uncancelled Session.ReplayClosedLoop is bit-identical to a
+// one-shot scenario.RunClosedLoop (epoch table and install sequence),
+// while streaming epoch by epoch instead of buffering.
 func TestSessionClosedLoopMatchesFreeFunction(t *testing.T) {
 	topo, mat := sessionInstance(t)
 	sc := closedLoopScenario(21)
-	old, err := fubar.ReplayScenarioClosedLoop(topo, mat, sc, fubar.ClosedLoopOptions{
-		Core: fubar.Options{Workers: 1},
+	old, err := scenario.RunClosedLoop(context.Background(), topo, mat, sc, scenario.ClosedLoopOptions{
+		Core: core.Options{Workers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +139,7 @@ func TestSessionClosedLoopMatchesFreeFunction(t *testing.T) {
 		old.Epochs[i].Installs = nil
 	}
 	if !got.Equivalent(old) {
-		t.Fatalf("session closed loop diverged from ReplayScenarioClosedLoop:\n new=%+v\n old=%+v\n installs new=%+v old=%+v",
+		t.Fatalf("session closed loop diverged from scenario.RunClosedLoop:\n new=%+v\n old=%+v\n installs new=%+v old=%+v",
 			got.Epochs, old.Epochs, got.Installs, old.Installs)
 	}
 }

@@ -64,11 +64,14 @@ func TestFacadeScenarioMatrixAcceptance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ScenarioByName: %v", err)
 			}
-			res, err := ReplayScenarioClosedLoop(topo, mat, sc, ClosedLoopOptions{
-				Core: Options{Workers: 2},
-			})
+			s, err := NewSession(topo, mat, WithWorkers(2))
 			if err != nil {
-				t.Fatalf("ReplayScenarioClosedLoop: %v", err)
+				t.Fatalf("NewSession: %v", err)
+			}
+			defer s.Close()
+			res, err := s.ReplayClosedLoopAll(t.Context(), sc)
+			if err != nil {
+				t.Fatalf("ReplayClosedLoopAll: %v", err)
 			}
 			if len(res.Epochs) != epochs {
 				t.Fatalf("replayed %d epochs, want %d", len(res.Epochs), epochs)
@@ -107,9 +110,13 @@ func TestFacadeSoakScenario(t *testing.T) {
 	if len(sc.Events) > 4*200/10 {
 		t.Fatalf("soak timeline not sparse: %d events for 200 epochs at period 10", len(sc.Events))
 	}
-	res, err := ReplayScenario(topo, mat, sc, ScenarioOptions{})
+	s, err := NewSession(topo, mat)
 	if err != nil {
-		t.Fatalf("ReplayScenario: %v", err)
+		t.Fatalf("NewSession: %v", err)
+	}
+	res, err := s.ReplayAll(t.Context(), sc)
+	if err != nil {
+		t.Fatalf("ReplayAll: %v", err)
 	}
 	if len(res.Epochs) != 200 {
 		t.Fatalf("replayed %d epochs, want 200", len(res.Epochs))
