@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -61,6 +62,8 @@ type scaleCandidateBench struct {
 type scaleBenchRecord struct {
 	Benchmark      string               `json:"benchmark"`
 	Seed           int64                `json:"seed"`
+	GoVersion      string               `json:"go_version"`
+	Commit         string               `json:"commit"`
 	GOMAXPROCS     int                  `json:"gomaxprocs"`
 	NumCPU         int                  `json:"num_cpu"`
 	MaxSteps       int                  `json:"max_steps"`
@@ -69,6 +72,32 @@ type scaleBenchRecord struct {
 	Points         []scalePoint         `json:"points"`
 	CandidateBench *scaleCandidateBench `json:"candidate_bench,omitempty"`
 	Deterministic  bool                 `json:"deterministic"`
+}
+
+// buildCommit is the VCS revision the binary was built from, suffixed
+// "-dirty" when the tree had uncommitted changes, or "unknown" when the
+// build carries no VCS stamp (go run, or a build outside a checkout).
+func buildCommit() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "", false
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev == "" {
+		return "unknown"
+	}
+	if dirty {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 // scaleBench runs the scaling benchmark: every preset x worker count end
@@ -88,6 +117,8 @@ func scaleBench(presetCSV string, workersCSV string, seed int64, maxSteps int, o
 	rec := scaleBenchRecord{
 		Benchmark:     "scale-out step pipeline: end-to-end and per-candidate scaling on large Waxman instances",
 		Seed:          seed,
+		GoVersion:     runtime.Version(),
+		Commit:        buildCommit(),
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		NumCPU:        runtime.NumCPU(),
 		MaxSteps:      maxSteps,

@@ -48,6 +48,10 @@ import (
 // goroutines.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout closes keep-alive connections that sit idle between
+// requests this long, so abandoned clients do not hold sockets forever.
+const idleTimeout = 2 * time.Minute
+
 func main() {
 	var (
 		listen         = flag.String("listen", ":8080", "HTTP listen address")
@@ -86,7 +90,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("fubard listening", "addr", *listen, "max_workers", srv.MaxWorkers())

@@ -47,7 +47,7 @@ func runSmoke(srv *fubar.DaemonServer, logger *slog.Logger) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go func() { _ = httpSrv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 	logger.Info("smoke daemon up", "addr", base)

@@ -445,12 +445,14 @@ type Optimizer struct {
 	probe func(w *worker, buf []flowmodel.Bundle, changed []int, base *flowmodel.Base) float64
 
 	// tm/tracer are the live-metrics handles built from
-	// Options.Telemetry (nil when telemetry is off); pubDelta is the
-	// portion of the workers' cumulative DeltaStats already folded into
-	// the registry, so each step publishes only the diff.
+	// Options.Telemetry (nil when telemetry is off); pubDelta and pubPath
+	// are the portions of the workers' cumulative DeltaStats and the
+	// generators' cumulative search counts already folded into the
+	// registry, so each step publishes only the diff.
 	tm       *telemetry.CoreMetrics
 	tracer   *telemetry.Tracer
 	pubDelta flowmodel.DeltaStats
+	pubPath  pathgen.Stats
 }
 
 // worker is one candidate evaluator: a private flowmodel arena plus the
@@ -636,7 +638,7 @@ loop:
 			if o.tm != nil {
 				o.tm.Steps.Inc()
 				o.tm.StepSeconds.Observe(time.Since(stepStart).Seconds())
-				o.publishDeltaStats()
+				o.publishCounters()
 				o.tracer.Emit("core.step", stepStart, map[string]any{
 					"step": steps, "utility": uCur, "congested": len(links),
 				})
@@ -661,7 +663,7 @@ loop:
 		}
 	}
 	if o.tm != nil {
-		o.publishDeltaStats() // fold in the final (uncommitted) step's activity
+		o.publishCounters() // fold in the final (uncommitted) step's activity
 	}
 
 	final := o.finalResult()
@@ -1631,11 +1633,12 @@ func (o *Optimizer) trace(s Snapshot) {
 	}
 }
 
-// publishDeltaStats folds the workers' cumulative incremental-evaluation
-// counters into the live registry, adding only the growth since the
-// previous publish. Called once per committed step and once at run end;
-// only reads worker state, so it never perturbs the move sequence.
-func (o *Optimizer) publishDeltaStats() {
+// publishCounters folds the workers' cumulative incremental-evaluation
+// counters and the path generators' search counts into the live
+// registry, adding only the growth since the previous publish. Called
+// once per committed step and once at run end; only reads worker and
+// generator state, so it never perturbs the move sequence.
+func (o *Optimizer) publishCounters() {
 	var s flowmodel.DeltaStats
 	for _, w := range o.workers {
 		s.Add(w.eval.DeltaStats())
@@ -1645,6 +1648,20 @@ func (o *Optimizer) publishDeltaStats() {
 	o.tm.DeltaFallbacks.Add(s.Fallbacks - o.pubDelta.Fallbacks)
 	o.tm.DeltaExpansions.Add(s.Expansions - o.pubDelta.Expansions)
 	o.pubDelta = s
+
+	// Generators persist across runs and are never reset, so pubPath
+	// carries over too. Shard 0 shares the optimizer's generator.
+	p := o.gen.Stats()
+	for _, col := range o.collectors {
+		if col.gen != o.gen {
+			cs := col.gen.Stats()
+			p.Searches += cs.Searches
+			p.Trees += cs.Trees
+		}
+	}
+	o.tm.PathSearches.Add(int64(p.Searches - o.pubPath.Searches))
+	o.tm.PathTrees.Add(int64(p.Trees - o.pubPath.Trees))
+	o.pubPath = p
 }
 
 // Run is the package-level convenience: build an optimizer over model with

@@ -55,6 +55,7 @@ func TestScaleWorkerDeterminism(t *testing.T) {
 		t.Fatalf("instance miscalibrated for the delta path: %d fallbacks of %d calls",
 			ref.Delta.Fallbacks, ref.Delta.Calls)
 	}
+	tel1, tel4 := telemetry.New(), telemetry.New()
 	variants := []struct {
 		name string
 		mod  func(*Options)
@@ -64,8 +65,8 @@ func TestScaleWorkerDeterminism(t *testing.T) {
 		{"workers=4 delta off", func(o *Options) { o.Workers = 4; o.DeltaEval = DeltaOff }},
 		// Telemetry must observe without perturbing: instrumented runs
 		// commit the identical move sequence (ISSUE 7 acceptance).
-		{"workers=1 telemetry", func(o *Options) { o.Telemetry = telemetry.New() }},
-		{"workers=4 telemetry", func(o *Options) { o.Workers = 4; o.Telemetry = telemetry.New() }},
+		{"workers=1 telemetry", func(o *Options) { o.Telemetry = tel1 }},
+		{"workers=4 telemetry", func(o *Options) { o.Workers = 4; o.Telemetry = tel4 }},
 	}
 	for _, v := range variants {
 		opts := base
@@ -85,6 +86,16 @@ func TestScaleWorkerDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(trace, refTrace) {
 			t.Errorf("%s: per-step utility trajectory differs from reference", v.name)
+		}
+	}
+	// The path-search counters are deterministic too: sharded collection
+	// runs the same searches whichever shard owns an aggregate, and the
+	// lowest-delay trees are built once per source by the optimizer's
+	// own generator.
+	for _, name := range []string{"fubar_pathgen_searches_total", "fubar_pathgen_trees_total"} {
+		c1, c4 := tel1.Snapshot().Counters[name], tel4.Snapshot().Counters[name]
+		if c1 <= 0 || c1 != c4 {
+			t.Errorf("%s = %d at workers=1, %d at workers=4; want equal and positive", name, c1, c4)
 		}
 	}
 }

@@ -215,6 +215,33 @@ func TestTenantLifecycle(t *testing.T) {
 	}
 }
 
+// TestTenantCap fills the daemon to maxTenants, checks the next create
+// is refused with 429 and builds no controller, and that deleting a
+// tenant frees a slot.
+func TestTenantCap(t *testing.T) {
+	_, ts, fakes := newTestServer(t, Config{MaxWorkers: 2}, nil)
+	for i := 0; i < maxTenants; i++ {
+		mustPost(t, ts.URL+"/v1/tenants", CreateTenantRequest{ID: fmt.Sprintf("t-%d", i), Topology: testTopology}, http.StatusCreated)
+	}
+	raw := mustPost(t, ts.URL+"/v1/tenants", CreateTenantRequest{ID: "over", Topology: testTopology}, http.StatusTooManyRequests)
+	if !strings.Contains(string(raw), "tenant cap") {
+		t.Errorf("cap refusal body: %s", raw)
+	}
+	if len(*fakes) != maxTenants {
+		t.Errorf("%d controllers built, want %d (the refused create must build none)", len(*fakes), maxTenants)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/tenants/t-0", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: status %d", resp.StatusCode)
+	}
+	mustPost(t, ts.URL+"/v1/tenants", CreateTenantRequest{ID: "over", Topology: testTopology}, http.StatusCreated)
+}
+
 func TestOptimizeSerializedPerTenant(t *testing.T) {
 	_, ts, fakes := newTestServer(t, Config{MaxWorkers: 8}, nil)
 	mustPost(t, ts.URL+"/v1/tenants", CreateTenantRequest{ID: "a", Topology: testTopology, Workers: 2}, http.StatusCreated)

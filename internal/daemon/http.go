@@ -99,6 +99,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, err := s.create(&req)
+	if errors.Is(err, errTenantCap) {
+		httpError(w, http.StatusTooManyRequests, err)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -101,10 +101,26 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // MaxWorkers reports the effective global worker cap.
 func (s *Server) MaxWorkers() int { return s.sched.capacity }
 
+// maxTenants caps how many tenants one daemon holds at once. Each
+// tenant owns a Session, its own telemetry registry and a goroutine per
+// stream, so an unbounded count would let clients exhaust the daemon.
+const maxTenants = 64
+
+// errTenantCap rejects a create while maxTenants tenants exist.
+var errTenantCap = fmt.Errorf("daemon: tenant cap of %d reached; delete a tenant first", maxTenants)
+
 // create registers a new tenant built from req.
 func (s *Server) create(req *CreateTenantRequest) (TenantInfo, error) {
 	if req.ID != "" && !validID(req.ID) {
 		return TenantInfo{}, fmt.Errorf("daemon: invalid tenant id %q (want [A-Za-z0-9._-]{1,64})", req.ID)
+	}
+	// Refuse before building the instance; the check under the insert
+	// lock below is the authoritative one.
+	s.mu.Lock()
+	full := len(s.tenants) >= maxTenants
+	s.mu.Unlock()
+	if full {
+		return TenantInfo{}, errTenantCap
 	}
 	workers := req.Workers
 	if workers <= 0 {
@@ -144,6 +160,11 @@ func (s *Server) create(req *CreateTenantRequest) (TenantInfo, error) {
 		s.mu.Unlock()
 		_ = ctrl.Close()
 		return TenantInfo{}, fmt.Errorf("daemon: tenant %q already exists", id)
+	}
+	if len(s.tenants) >= maxTenants {
+		s.mu.Unlock()
+		_ = ctrl.Close()
+		return TenantInfo{}, errTenantCap
 	}
 	t := &tenant{
 		info: TenantInfo{

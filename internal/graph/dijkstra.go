@@ -1,8 +1,8 @@
 package graph
 
 import (
-	"container/heap"
 	"math"
+	"sync"
 )
 
 // Constraints restricts the paths a search may return. The zero value means
@@ -27,9 +27,116 @@ func (c Constraints) nodeExcluded(n NodeID) bool {
 	return c.ExcludeNodes != nil && int(n) < len(c.ExcludeNodes) && c.ExcludeNodes[n]
 }
 
+// Searcher is a reusable Dijkstra workspace. Its per-node state is
+// generation-stamped, so a search costs nothing proportional to the node
+// count up front, and its heap is a typed slice that keeps its capacity:
+// once warm, a search allocates only the returned path's edge slice.
+//
+// The heap repeats container/heap's exact sift sequence over the same
+// `dist <` order, so equal-distance ties pop in the same order as a
+// container/heap Dijkstra and every returned path is the one such a
+// search would return, edge for edge.
+//
+// The zero value is ready to use; it grows to fit each graph it searches.
+// Not safe for concurrent use.
+type Searcher struct {
+	gen   uint32
+	nodes []nodeState
+	heap  []heapItem
+}
+
+// nodeState is one node's search state; dist, hops and prev belong to
+// the current search only when stamp == gen.
+type nodeState struct {
+	dist  float64
+	stamp uint32
+	done  uint32 // == gen: settled
+	hops  int32
+	prev  EdgeID
+}
+
+type heapItem struct {
+	node NodeID
+	dist float64
+}
+
+// reset starts a new search over an n-node graph.
+func (s *Searcher) reset(n int) {
+	if len(s.nodes) < n {
+		s.nodes = make([]nodeState, n)
+		s.heap = make([]heapItem, 0, n)
+		s.gen = 0
+	}
+	s.gen++
+	if s.gen == 0 { // wrapped: stale stamps could alias the new generation
+		clear(s.nodes)
+		s.gen = 1
+	}
+	s.heap = s.heap[:0]
+}
+
+// distOf is v's distance in this search, +Inf when v has not been reached.
+func (s *Searcher) distOf(v NodeID) float64 {
+	if s.nodes[v].stamp != s.gen {
+		return math.Inf(1)
+	}
+	return s.nodes[v].dist
+}
+
+// reach records a strictly better tentative distance for v.
+func (s *Searcher) reach(v NodeID, d float64, hops int32, via EdgeID) {
+	s.nodes[v] = nodeState{dist: d, stamp: s.gen, done: s.nodes[v].done, hops: hops, prev: via}
+	s.push(heapItem{node: v, dist: d})
+}
+
+// push is container/heap.Push: append, then sift up.
+func (s *Searcher) push(it heapItem) {
+	s.heap = append(s.heap, it)
+	h := s.heap
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(it.dist < h[i].dist) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = it
+}
+
+// pop is container/heap.Pop: move the last item to the root, sift it
+// down over the first n-1 slots, and return the old root.
+func (s *Searcher) pop() heapItem {
+	h := s.heap
+	n := len(h) - 1
+	top := h[0]
+	it := h[n]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
+			j = j2 // right child
+		}
+		if !(h[j].dist < it.dist) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = it
+	s.heap = h[:n]
+	return top
+}
+
 // ShortestPath returns the minimum-weight path from src to dst subject to
 // the constraints, and whether one exists. src==dst yields the empty path.
-func ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
+// It returns exactly what the package-level ShortestPath returns.
+func (s *Searcher) ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
 	if src == dst {
 		return Path{}, true
 	}
@@ -37,29 +144,65 @@ func ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
 	if int(src) < 0 || int(src) >= n || int(dst) < 0 || int(dst) >= n {
 		return Path{}, false
 	}
+	s.search(g, src, dst, cons)
+	if s.nodes[dst].stamp != s.gen {
+		return Path{}, false
+	}
+	// Reconstruct by walking predecessors.
+	edges := make([]EdgeID, s.nodes[dst].hops)
+	at := dst
+	for i := len(edges) - 1; i >= 0; i-- {
+		id := s.nodes[at].prev
+		edges[i] = id
+		at = g.Edge(id).From
+	}
+	return Path{Edges: edges, Weight: s.nodes[dst].dist}, true
+}
 
-	dist := make([]float64, n)
-	hops := make([]int, n)
-	prev := make([]EdgeID, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
+// Tree runs the constrained search from src to completion — no
+// destination early exit — and writes into prev, which must have
+// NumNodes entries, each node's predecessor edge on its search path from
+// src (-1 for src itself and for unreached nodes).
+//
+// The early-exit search for any dst pops a prefix of this search's pop
+// sequence, and prev[dst] is final once dst pops: every later pop has a
+// distance no smaller, so with non-negative weights no later relaxation
+// is strictly better. Hence PathFromTree(g, prev, src, dst) equals
+// ShortestPath(g, src, dst, cons) edge for edge, MaxHops included.
+// ExcludeNodes has no destination exception here, so a tree search is
+// only equivalent for constraints without ExcludeNodes.
+func (s *Searcher) Tree(g *Graph, src NodeID, cons Constraints, prev []EdgeID) {
+	for i := range prev {
 		prev[i] = -1
 	}
-	dist[src] = 0
+	if int(src) < 0 || int(src) >= g.NumNodes() {
+		return
+	}
+	s.search(g, src, -1, cons)
+	for v := range prev {
+		if s.nodes[v].stamp == s.gen {
+			prev[v] = s.nodes[v].prev
+		}
+	}
+}
 
-	pq := &nodeHeap{items: []heapItem{{node: src, dist: 0}}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
+// search runs Dijkstra from src, stopping when dst is settled (dst < 0
+// never matches, so the search runs to completion).
+func (s *Searcher) search(g *Graph, src, dst NodeID, cons Constraints) {
+	s.reset(g.NumNodes())
+	s.reach(src, 0, 0, -1)
+	for len(s.heap) > 0 {
+		it := s.pop()
 		v := it.node
-		if done[v] || it.dist > dist[v] {
+		sv := &s.nodes[v]
+		if sv.done == s.gen || it.dist > sv.dist {
 			continue
 		}
-		done[v] = true
+		sv.done = s.gen
 		if v == dst {
 			break
 		}
-		if cons.MaxHops > 0 && hops[v] >= cons.MaxHops {
+		if cons.MaxHops > 0 && int(sv.hops) >= cons.MaxHops {
 			continue
 		}
 		for _, id := range g.OutEdges(v) {
@@ -70,29 +213,53 @@ func ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
 			if e.To != dst && cons.nodeExcluded(e.To) {
 				continue
 			}
-			nd := dist[v] + e.Weight
-			if nd < dist[e.To] {
-				dist[e.To] = nd
-				hops[e.To] = hops[v] + 1
-				prev[e.To] = id
-				heap.Push(pq, heapItem{node: e.To, dist: nd})
+			nd := sv.dist + e.Weight
+			if nd < s.distOf(e.To) {
+				s.reach(e.To, nd, sv.hops+1, id)
 			}
 		}
 	}
+}
 
-	if math.IsInf(dist[dst], 1) {
+// PathFromTree materializes the src→dst path from a predecessor array
+// filled by Searcher.Tree, reporting false when dst was not reached.
+// Weight is the edge weights summed from 0 along the path, the same
+// accumulation Dijkstra performs, so it equals the search's distance bit
+// for bit.
+func PathFromTree(g *Graph, prev []EdgeID, src, dst NodeID) (Path, bool) {
+	if src == dst {
+		return Path{}, true
+	}
+	if int(src) < 0 || int(src) >= len(prev) || int(dst) < 0 || int(dst) >= len(prev) || prev[dst] < 0 {
 		return Path{}, false
 	}
-	// Reconstruct by walking predecessors.
-	count := hops[dst]
+	count := 0
+	for at := dst; at != src; at = g.Edge(prev[at]).From {
+		count++
+	}
 	edges := make([]EdgeID, count)
 	at := dst
 	for i := count - 1; i >= 0; i-- {
-		id := prev[at]
-		edges[i] = id
-		at = g.Edge(id).From
+		edges[i] = prev[at]
+		at = g.Edge(prev[at]).From
 	}
-	return Path{Edges: edges, Weight: dist[dst]}, true
+	var w float64
+	for _, id := range edges {
+		w += g.Edge(id).Weight
+	}
+	return Path{Edges: edges, Weight: w}, true
+}
+
+var searchers = sync.Pool{New: func() any { return new(Searcher) }}
+
+// ShortestPath returns the minimum-weight path from src to dst subject to
+// the constraints, and whether one exists. src==dst yields the empty path.
+// It borrows a pooled Searcher; hot loops should own one instead.
+func ShortestPath(g *Graph, src, dst NodeID, cons Constraints) (Path, bool) {
+	s := searchers.Get().(*Searcher)
+	p, ok := s.ShortestPath(g, src, dst, cons)
+	searchers.Put(s)
+	return p, ok
 }
 
 // ShortestPathTree computes minimum distances from src to every node
@@ -107,11 +274,13 @@ func ShortestPathTree(g *Graph, src NodeID, cons Constraints) []float64 {
 	if int(src) < 0 || int(src) >= n {
 		return dist
 	}
-	dist[src] = 0
-	pq := &nodeHeap{items: []heapItem{{node: src, dist: 0}}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		if it.dist > dist[it.node] {
+	s := searchers.Get().(*Searcher)
+	defer searchers.Put(s)
+	s.reset(n)
+	s.reach(src, 0, 0, -1)
+	for len(s.heap) > 0 {
+		it := s.pop()
+		if it.dist > s.nodes[it.node].dist {
 			continue
 		}
 		for _, id := range g.OutEdges(it.node) {
@@ -123,30 +292,13 @@ func ShortestPathTree(g *Graph, src NodeID, cons Constraints) []float64 {
 				continue
 			}
 			nd := it.dist + e.Weight
-			if nd < dist[e.To] {
-				dist[e.To] = nd
-				heap.Push(pq, heapItem{node: e.To, dist: nd})
+			if nd < s.distOf(e.To) {
+				s.reach(e.To, nd, 0, id)
 			}
 		}
 	}
+	for v := range dist {
+		dist[v] = s.distOf(NodeID(v))
+	}
 	return dist
-}
-
-type heapItem struct {
-	node NodeID
-	dist float64
-}
-
-type nodeHeap struct{ items []heapItem }
-
-func (h *nodeHeap) Len() int           { return len(h.items) }
-func (h *nodeHeap) Less(i, j int) bool { return h.items[i].dist < h.items[j].dist }
-func (h *nodeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *nodeHeap) Push(x interface{}) { h.items = append(h.items, x.(heapItem)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

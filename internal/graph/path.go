@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Path is a loop-free directed walk expressed as an edge sequence, with the
@@ -57,16 +57,22 @@ func (p Path) Equal(q Path) bool {
 }
 
 // Key returns a compact string usable as a map key identifying the edge
-// sequence.
+// sequence: the decimal edge IDs joined by commas.
 func (p Path) Key() string {
-	var b strings.Builder
+	return string(p.AppendKey(nil))
+}
+
+// AppendKey appends the bytes of Key to buf and returns the extended
+// buffer, so map lookups can go through a reused scratch buffer without
+// allocating a string.
+func (p Path) AppendKey(buf []byte) []byte {
 	for i, e := range p.Edges {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%d", e)
+		buf = strconv.AppendInt(buf, int64(e), 10)
 	}
-	return b.String()
+	return buf
 }
 
 // Validate checks that the edge sequence is contiguous from src to dst and

@@ -13,7 +13,9 @@ func KShortestPaths(g *Graph, src, dst NodeID, k int, cons Constraints) []Path {
 	if k <= 0 || src == dst {
 		return nil
 	}
-	first, ok := ShortestPath(g, src, dst, cons)
+	s := searchers.Get().(*Searcher)
+	defer searchers.Put(s)
+	first, ok := s.ShortestPath(g, src, dst, cons)
 	if !ok {
 		return nil
 	}
@@ -73,7 +75,7 @@ func KShortestPaths(g *Graph, src, dst NodeID, k int, cons Constraints) []Path {
 				}
 				spurCons.MaxHops = remaining
 			}
-			spur, ok := ShortestPath(g, spurNode, dst, spurCons)
+			spur, ok := s.ShortestPath(g, spurNode, dst, spurCons)
 			if !ok {
 				continue
 			}

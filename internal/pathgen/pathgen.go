@@ -55,15 +55,30 @@ func ForbidLinks(topo *topology.Topology, links ...topology.LinkID) []bool {
 	return mask
 }
 
-// Generator produces policy-compliant paths over one topology. It caches
-// lowest-delay paths (they never change) and reuses exclusion scratch
-// space. Not safe for concurrent use.
+// Generator produces policy-compliant paths over one topology. It owns a
+// reusable graph.Searcher, so a warm generator allocates nothing per search
+// except the returned path's edges, and answers LowestDelay from one cached
+// lowest-delay tree per source. Not safe for concurrent use.
 type Generator struct {
 	topo   *topology.Topology
 	policy Policy
 
-	lowest  map[pairKey]cachedPath
-	exclude []bool // scratch merged exclusion set
+	lowest   map[pairKey]cachedPath
+	trees    [][]graph.EdgeID // trees[src]: predecessor edges, nil until built
+	forbid   []bool           // policy.ForbiddenLinks over the full link range
+	exclude  []bool           // scratch merged exclusion set
+	searcher graph.Searcher
+	stats    Stats
+}
+
+// Stats counts the path searches a Generator has run since it was built.
+type Stats struct {
+	// Searches counts early-exit constrained searches: one per Avoiding
+	// or AvoidingLink call, three per Alternatives call.
+	Searches int
+	// Trees counts lowest-delay trees: one per source the first time
+	// LowestDelay misses its cache for that source.
+	Trees int
 }
 
 type pairKey struct{ src, dst graph.NodeID }
@@ -87,10 +102,14 @@ func New(topo *topology.Topology, policy Policy) (*Generator, error) {
 	if len(policy.ForbiddenLinks) > topo.NumLinks() {
 		return nil, fmt.Errorf("pathgen: ForbiddenLinks longer than link count")
 	}
+	forbid := make([]bool, topo.NumLinks())
+	copy(forbid, policy.ForbiddenLinks)
 	return &Generator{
 		topo:    topo,
 		policy:  policy,
 		lowest:  make(map[pairKey]cachedPath),
+		trees:   make([][]graph.EdgeID, topo.NumNodes()),
+		forbid:  forbid,
 		exclude: make([]bool, topo.NumLinks()),
 	}, nil
 }
@@ -98,16 +117,43 @@ func New(topo *topology.Topology, policy Policy) (*Generator, error) {
 // Topology returns the generator's topology.
 func (g *Generator) Topology() *topology.Topology { return g.topo }
 
+// Stats reports the searches run so far.
+func (g *Generator) Stats() Stats { return g.stats }
+
 // LowestDelay returns the lowest-delay policy-compliant path between two
 // nodes, caching the result. src==dst yields the empty path.
+//
+// A cache miss materializes the path from src's lowest-delay tree,
+// building the tree with one full policy search the first time src is
+// seen. The path is the one the per-pair search Avoiding(src, dst, nil)
+// returns, edge for edge and weight bit for bit (see graph.Searcher.Tree);
+// MaxDelay stays a per-path check.
 func (g *Generator) LowestDelay(src, dst graph.NodeID) (graph.Path, bool) {
 	key := pairKey{src, dst}
 	if c, ok := g.lowest[key]; ok {
 		return c.path, c.ok
 	}
-	p, ok := g.search(src, dst, nil)
+	p, ok := g.fromTree(src, dst)
 	g.lowest[key] = cachedPath{path: p, ok: ok}
 	return p, ok
+}
+
+func (g *Generator) fromTree(src, dst graph.NodeID) (graph.Path, bool) {
+	if src == dst {
+		return graph.Path{}, true
+	}
+	if int(src) < 0 || int(src) >= len(g.trees) {
+		return graph.Path{}, false
+	}
+	tree := g.trees[src]
+	if tree == nil {
+		tree = make([]graph.EdgeID, len(g.trees))
+		g.searcher.Tree(g.topo.Graph(), src, g.policyConstraints(g.forbid), tree)
+		g.trees[src] = tree
+		g.stats.Trees++
+	}
+	p, ok := graph.PathFromTree(g.topo.Graph(), tree, src, dst)
+	return g.withinDelay(p, ok)
 }
 
 // Avoiding returns the lowest-delay policy-compliant path that avoids the
@@ -119,10 +165,7 @@ func (g *Generator) Avoiding(src, dst graph.NodeID, avoid []bool) (graph.Path, b
 // AvoidingLink returns the lowest-delay policy-compliant path avoiding a
 // single link.
 func (g *Generator) AvoidingLink(src, dst graph.NodeID, link graph.EdgeID) (graph.Path, bool) {
-	for i := range g.exclude {
-		g.exclude[i] = false
-	}
-	g.applyPolicy()
+	copy(g.exclude, g.forbid)
 	if int(link) >= 0 && int(link) < len(g.exclude) {
 		g.exclude[link] = true
 	}
@@ -181,10 +224,7 @@ func (g *Generator) Alternatives(req Request) Alternatives {
 // search runs a constrained Dijkstra merging the policy's forbidden links
 // with the given avoid set.
 func (g *Generator) search(src, dst graph.NodeID, avoid []bool) (graph.Path, bool) {
-	for i := range g.exclude {
-		g.exclude[i] = false
-	}
-	g.applyPolicy()
+	copy(g.exclude, g.forbid)
 	for i, bad := range avoid {
 		if bad && i < len(g.exclude) {
 			g.exclude[i] = true
@@ -193,19 +233,17 @@ func (g *Generator) search(src, dst graph.NodeID, avoid []bool) (graph.Path, boo
 	return g.constrainedSearch(src, dst)
 }
 
-func (g *Generator) applyPolicy() {
-	for i, bad := range g.policy.ForbiddenLinks {
-		if bad {
-			g.exclude[i] = true
-		}
-	}
+func (g *Generator) policyConstraints(exclude []bool) graph.Constraints {
+	return graph.Constraints{ExcludeEdges: exclude, MaxHops: g.policy.MaxHops}
 }
 
 func (g *Generator) constrainedSearch(src, dst graph.NodeID) (graph.Path, bool) {
-	p, ok := graph.ShortestPath(g.topo.Graph(), src, dst, graph.Constraints{
-		ExcludeEdges: g.exclude,
-		MaxHops:      g.policy.MaxHops,
-	})
+	g.stats.Searches++
+	return g.withinDelay(g.searcher.ShortestPath(g.topo.Graph(), src, dst, g.policyConstraints(g.exclude)))
+}
+
+// withinDelay applies the policy's delay ceiling to a search result.
+func (g *Generator) withinDelay(p graph.Path, ok bool) (graph.Path, bool) {
 	if !ok {
 		return graph.Path{}, false
 	}
@@ -218,14 +256,7 @@ func (g *Generator) constrainedSearch(src, dst graph.NodeID) (graph.Path, bool) 
 // KLowestDelay returns up to k policy-compliant paths in increasing delay
 // order (used by ablations and as a CSPF-style baseline input).
 func (g *Generator) KLowestDelay(src, dst graph.NodeID, k int) []graph.Path {
-	for i := range g.exclude {
-		g.exclude[i] = false
-	}
-	g.applyPolicy()
-	paths := graph.KShortestPaths(g.topo.Graph(), src, dst, k, graph.Constraints{
-		ExcludeEdges: g.exclude,
-		MaxHops:      g.policy.MaxHops,
-	})
+	paths := graph.KShortestPaths(g.topo.Graph(), src, dst, k, g.policyConstraints(g.forbid))
 	if g.policy.MaxDelay <= 0 {
 		return paths
 	}

@@ -45,6 +45,9 @@ type CoreMetrics struct {
 	UtilityOnlyCalls *Counter
 	DeltaFallbacks   *Counter
 	DeltaExpansions  *Counter
+
+	PathSearches *Counter
+	PathTrees    *Counter
 }
 
 // Core builds (idempotently) the core-subsystem handles. Returns nil
@@ -68,6 +71,8 @@ func (t *Telemetry) Core() *CoreMetrics {
 		UtilityOnlyCalls:    r.Counter("fubar_eval_utility_only_calls_total", "Utility-only incremental evaluations."),
 		DeltaFallbacks:      r.Counter("fubar_eval_delta_fallbacks_total", "Delta evaluations that fell back to a full recompute."),
 		DeltaExpansions:     r.Counter("fubar_eval_delta_expansions_total", "Delta evaluations whose affected set expanded."),
+		PathSearches:        r.Counter("fubar_pathgen_searches_total", "Constrained path searches (three per congested aggregate's alternatives)."),
+		PathTrees:           r.Counter("fubar_pathgen_trees_total", "Lowest-delay trees built, one per source a path generator first routes from."),
 	}
 }
 
